@@ -382,7 +382,7 @@ fn route_group(
         }
         return;
     }
-    if engine.resolve(k) != Engine::BitParallel {
+    if engine.resolve(y.radix(), k) != Engine::BitParallel {
         // Explicit non-bit-parallel engines (and Auto above the
         // crossover) keep their own tie-breaking; replay them scalar.
         for &i in grp {

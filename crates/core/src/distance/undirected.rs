@@ -41,41 +41,59 @@ pub enum Engine {
     /// The paper's Algorithm 4 engine (compact prefix/suffix trees);
     /// `O(k)` time and space.
     SuffixTree,
-    /// Word-parallel diagonal-run sweep over packed digit lanes
-    /// ([`debruijn_strings::bitmatch`]): `O(k²·lane_bits / 64)` word
-    /// operations, allocation-free after warm-up. Fastest engine up to
-    /// `k ≈ 512` (roughly 9× over Morris–Pratt at `k = 128`).
+    /// Word-parallel diagonal sweep over packed digit lanes
+    /// ([`debruijn_strings::bitmatch`]): at most `O(k²·lane_bits / 64)`
+    /// word operations, with one candidate run per diagonal and the
+    /// diagonals that cannot improve either family skipped;
+    /// allocation-free after warm-up. The fastest engine while
+    /// `k · lane_bits ≤ 8192` (see [`AUTO_BITPARALLEL_MAX_LANE_BITS`]).
     BitParallel,
-    /// Picks [`Engine::BitParallel`] for `k ≤ 512` and
-    /// [`Engine::SuffixTree`] beyond — the measured crossover where the
-    /// suffix tree's `O(k)` asymptotics overtake the bit-parallel
-    /// engine's word-level constants (see `docs/PERFORMANCE.md`).
+    /// Picks [`Engine::BitParallel`] up to [`auto_bitparallel_max_k`]
+    /// (`k ≤ 8192` for radix 2, `2048` for radix 3–16, `1024` beyond) and
+    /// [`Engine::SuffixTree`] past it, the measured crossover (see
+    /// `docs/PERFORMANCE.md`).
     #[default]
     Auto,
 }
 
-/// `Engine::Auto` uses [`Engine::BitParallel`] up to this `k` and
-/// [`Engine::SuffixTree`] beyond.
+/// `Engine::Auto` uses [`Engine::BitParallel`] while `k` times the lane
+/// width of radix `d` ([`bitmatch::lane_bits`]: 1 bit for `d = 2`, 4 for
+/// `d ≤ 16`, 8 beyond) is at most this, and [`Engine::SuffixTree`]
+/// beyond. The product is the length of the longest diagonal in bits,
+/// which sets how many words the sweep reads per diagonal.
 ///
 /// Pinned against the `distance_engines` series in
-/// `BENCH_results.json` (re-measured 2026-08; `bench.sh` regenerates
-/// it): at `k = 512` the bit-parallel sweep still wins (≈545 µs vs
-/// ≈700 µs per 1k pairs for the suffix tree), while at `k = 1024` the
-/// suffix tree's `O(k)` construction has overtaken the sweep's
-/// `O(k²/64)` word work (≈1.43 ms vs ≈2.18 ms). The crossover
-/// therefore lies in `(512, 1024]`; 512 is the largest benched size
-/// where bit-parallel is not dominated. See `docs/PERFORMANCE.md`.
-pub const AUTO_BITPARALLEL_MAX_K: usize = 512;
+/// `BENCH_results.json` (`bench.sh` regenerates it), which time both
+/// engines at radix 2 up to `k = 8192` and at radixes 16, 17 and 255 from
+/// `k = 512` to `4096`. The sweep wins every row with
+/// `k · lane_bits ≤ 8192`, and the suffix tree every row past it but
+/// one. On byte lanes the sweep gets cheaper as the radix grows, so
+/// radix 255 at `k = 2048` is the one benched row where Auto does not
+/// pick the faster engine: the bound follows radix 17, the slowest
+/// alphabet on those lanes. Radix 2 is benched no further than
+/// `k = 8192`, where the sweep is still well ahead; past it Auto keeps
+/// the suffix tree's `O(k)` bound without a measurement behind it (see
+/// `docs/PERFORMANCE.md` for the readings).
+pub const AUTO_BITPARALLEL_MAX_LANE_BITS: usize = 8192;
+
+/// The largest `k` at which [`Engine::Auto`] picks
+/// [`Engine::BitParallel`] for radix `d`
+/// ([`AUTO_BITPARALLEL_MAX_LANE_BITS`] over the lane width).
+#[must_use]
+pub fn auto_bitparallel_max_k(d: u8) -> usize {
+    AUTO_BITPARALLEL_MAX_LANE_BITS / bitmatch::lane_bits(d)
+}
 
 impl Engine {
-    /// The concrete engine [`Engine::Auto`] picks for word length `k`
-    /// (other engines resolve to themselves). Exposed so benchmarks and
-    /// tests can assert the selection matches the measured winner.
+    /// The concrete engine [`Engine::Auto`] picks for radix `d` and word
+    /// length `k` (other engines resolve to themselves). Exposed so
+    /// benchmarks and tests can assert the selection matches the measured
+    /// winner.
     #[must_use]
-    pub fn resolve(self, k: usize) -> Engine {
+    pub fn resolve(self, d: u8, k: usize) -> Engine {
         match self {
             Engine::Auto => {
-                if k <= AUTO_BITPARALLEL_MAX_K {
+                if k <= auto_bitparallel_max_k(d) {
                     Engine::BitParallel
                 } else {
                     Engine::SuffixTree
@@ -145,7 +163,7 @@ impl Solution {
 pub fn solve(x: &Word, y: &Word, engine: Engine) -> Solution {
     assert_same_space(x, y);
     let k = x.len();
-    let resolved = engine.resolve(k);
+    let resolved = engine.resolve(x.radix(), k);
     if engine == Engine::Auto {
         match resolved {
             Engine::BitParallel => crate::profile::count_auto_to_bit_parallel(),
@@ -440,28 +458,42 @@ mod tests {
         distance(&x, &y);
     }
 
-    /// Auto must never pick an engine the `distance_engines` bench
-    /// series shows to be dominated at that size. The measured winners
-    /// (BENCH_results.json, `bench.sh` regenerates): bit-parallel at
-    /// every benched `k ≤ 512`, suffix tree at `k ≥ 1024`. If the
-    /// crossover [`AUTO_BITPARALLEL_MAX_K`] drifts away from the data,
-    /// this fails before a user sees the regression.
+    /// Auto must pick the engine the `distance_engines` bench series
+    /// (BENCH_results.json, `bench.sh` regenerates) measures as faster,
+    /// at every benched radix and size but one: radix 255 at `k = 2048`,
+    /// where the radixes sharing 8-bit lanes disagree and the bound
+    /// follows radix 17 (see [`AUTO_BITPARALLEL_MAX_LANE_BITS`]). If the
+    /// crossover drifts away from the data, this fails before a user
+    /// sees the regression.
     #[test]
-    fn auto_never_selects_a_dominated_engine_at_bench_sizes() {
-        for k in [8usize, 32, 128, 512] {
-            assert_eq!(
-                Engine::Auto.resolve(k),
-                Engine::BitParallel,
-                "bit-parallel is the measured winner at k={k}"
-            );
+    fn auto_picks_the_measured_winner_at_bench_sizes() {
+        let sweep_wins: [(u8, &[usize]); 4] = [
+            (2, &[8, 32, 64, 128, 512, 1024, 2048, 4096, 8192]),
+            (16, &[512, 1024, 2048]),
+            (17, &[512, 1024]),
+            (255, &[512, 1024]),
+        ];
+        for (d, sizes) in sweep_wins {
+            for &k in sizes {
+                assert_eq!(
+                    Engine::Auto.resolve(d, k),
+                    Engine::BitParallel,
+                    "bit-parallel is the measured winner at d={d}, k={k}"
+                );
+            }
         }
-        for k in [1024usize, 2048] {
+        for (d, k) in [(16u8, 4096usize), (17, 2048), (17, 4096), (255, 4096)] {
             assert_eq!(
-                Engine::Auto.resolve(k),
+                Engine::Auto.resolve(d, k),
                 Engine::SuffixTree,
-                "suffix tree is the measured winner at k={k}"
+                "suffix tree is the measured winner at d={d}, k={k}"
             );
         }
+        assert_eq!(
+            Engine::Auto.resolve(255, 2048),
+            Engine::SuffixTree,
+            "radix 255 shares radix 17's bound"
+        );
         // Non-auto engines resolve to themselves at any size.
         for e in [
             Engine::Naive,
@@ -469,7 +501,7 @@ mod tests {
             Engine::SuffixTree,
             Engine::BitParallel,
         ] {
-            assert_eq!(e.resolve(4096), e);
+            assert_eq!(e.resolve(2, 16384), e);
         }
     }
 }

@@ -267,17 +267,20 @@ mod tests {
 
     #[test]
     fn auto_resolution_is_counted_per_side_of_the_crossover() {
-        use crate::distance::undirected::AUTO_BITPARALLEL_MAX_K;
+        use crate::distance::undirected::auto_bitparallel_max_k;
         let before = snapshot();
         let short = Word::uniform(2, 8, 0).unwrap();
         distance_with(Engine::Auto, &short, &Word::uniform(2, 8, 1).unwrap());
-        let k = AUTO_BITPARALLEL_MAX_K + 1;
-        let long = Word::uniform(2, k, 0).unwrap();
-        distance_with(Engine::Auto, &long, &Word::uniform(2, k, 1).unwrap());
+        // Radix 255's 8-bit lanes put the crossover at the smallest k.
+        let max_k = auto_bitparallel_max_k(255);
+        for k in [max_k, max_k + 1] {
+            let long = Word::uniform(255, k, 0).unwrap();
+            distance_with(Engine::Auto, &long, &Word::uniform(255, k, 1).unwrap());
+        }
         let used = snapshot().since(&before);
         assert!(
-            used.auto_to_bit_parallel >= 1,
-            "k = 8 resolves to bit-parallel"
+            used.auto_to_bit_parallel >= 2,
+            "k = 8 and k at the crossover resolve to bit-parallel"
         );
         assert!(
             used.auto_to_suffix_tree >= 1,

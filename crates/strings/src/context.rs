@@ -37,22 +37,49 @@
 //! `G = e_y + 2θ` over all suffix lengths `θ ≤ m` splits by automaton
 //! state: the state `u` holding the length-`m` match contributes
 //! `maxend(u) + 2m`, and every suffix-link ancestor `v` contributes
-//! `maxend(v) + 2·len(v)`, which the precomputed chain maximum
-//! `chain(link(u))` folds into one lookup. Total: `O(|Y|·d)` build,
-//! `O(|X|)` per source. The `r` family is the `l` family of the reversed
-//! strings (Eq. (9)'s identity), served by the second automaton.
+//! `maxend(v) + 2·len(v)`, which the precomputed ancestor maximum
+//! `up(u)` folds into one lookup. The build also completes every
+//! missing transition — following suffix links once per (state, digit)
+//! instead of once per scanned digit — so the scan makes one table lookup
+//! per digit, and the new match length is `min(m + 1, cap)` for the cap
+//! stored beside the target. Total: `O(|Y|·d)` build, `O(|X|)` per
+//! source. The `r` family is the `l` family of the reversed strings
+//! (Eq. (9)'s identity): the same loop reads `X` backwards through the
+//! automaton of `Ȳ`.
 
 use crate::bitmatch;
 use crate::failure::failure_function_into;
 use crate::matching::MatchTerm;
 
-/// Transition slot marker for "no edge" in the flat automaton table.
+/// Transition slot marker for "no edge" while the automaton is built.
 const NONE: u32 = u32::MAX;
 
 /// Cap on `states × alphabet` transition cells per automaton
 /// (`2·(k+1)·d`); beyond it [`DestinationContext::supports_family_scan`]
-/// is false and callers fall back to a scalar engine. 4M cells ≈ 16 MiB.
-const SAM_MAX_CELLS: usize = 1 << 22;
+/// is false and callers fall back to a scalar engine. 2M cells of 8 bytes
+/// (target and cap) ≈ 16 MiB per automaton, 32 MiB for a context's two.
+const SAM_MAX_CELLS: usize = 1 << 21;
+
+/// One cell of the completed transition table: the state the scan moves
+/// to on this digit, and a cap on the new match length. A real edge
+/// extends the match by one (`cap = u32::MAX`); a completed one stands
+/// for following suffix links to the nearest ancestor `v` with the edge,
+/// which shortens the match to `len(v) + 1`, or to 0 at the root.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    to: u32,
+    cap: u32,
+}
+
+/// Per-state terms of the scan's gain `max(e_y + 2θ)`.
+#[derive(Debug, Clone, Copy)]
+struct Gain {
+    /// Max 0-based end position in the text over `endpos(u)`.
+    maxend: i64,
+    /// `max over the proper suffix-link ancestors v of u (root excluded)
+    /// of maxend(v) + 2·len(v)`.
+    up: i64,
+}
 
 /// Suffix automaton of one destination string, with the per-state tables
 /// the matching-statistics value scan needs. All buffers are reused across
@@ -63,12 +90,8 @@ struct SuffixAutomaton {
     text_len: usize,
     len: Vec<u32>,
     link: Vec<i32>,
-    trans: Vec<u32>,
-    /// Max 0-based end position in the text over `endpos(u)`.
-    maxend: Vec<i64>,
-    /// `max over the suffix-link chain of u (root excluded) of
-    /// maxend(v) + 2·len(v)`.
-    chain: Vec<i64>,
+    trans: Vec<Edge>,
+    gain: Vec<Gain>,
     /// Counting-sort scratch: states ordered by `len` ascending.
     order: Vec<u32>,
     counts: Vec<u32>,
@@ -82,7 +105,7 @@ impl SuffixAutomaton {
         self.states += 1;
         self.len[id] = len;
         self.link[id] = -1;
-        self.maxend[id] = i64::MIN;
+        self.gain[id].maxend = i64::MIN;
         id
     }
 
@@ -96,16 +119,28 @@ impl SuffixAutomaton {
         self.len.resize(cap, 0);
         self.link.clear();
         self.link.resize(cap, -1);
-        self.maxend.clear();
-        self.maxend.resize(cap, i64::MIN);
+        self.gain.clear();
+        self.gain.resize(
+            cap,
+            Gain {
+                maxend: i64::MIN,
+                up: i64::MIN,
+            },
+        );
         self.trans.clear();
-        self.trans.resize(cap * d, NONE);
+        self.trans.resize(
+            cap * d,
+            Edge {
+                to: NONE,
+                cap: u32::MAX,
+            },
+        );
         self.new_state(0); // root
         self.last = 0;
         for (pos, &ch) in text.iter().enumerate() {
             self.extend(ch as usize);
             // `last` is the state of the full prefix ending at `pos`.
-            self.maxend[self.last] = pos as i64;
+            self.gain[self.last].maxend = pos as i64;
         }
         self.finish();
     }
@@ -114,14 +149,14 @@ impl SuffixAutomaton {
         let d = self.d;
         let cur = self.new_state(self.len[self.last] + 1);
         let mut p = self.last as i32;
-        while p >= 0 && self.trans[p as usize * d + c] == NONE {
-            self.trans[p as usize * d + c] = cur as u32;
+        while p >= 0 && self.trans[p as usize * d + c].to == NONE {
+            self.trans[p as usize * d + c].to = cur as u32;
             p = self.link[p as usize];
         }
         if p < 0 {
             self.link[cur] = 0;
         } else {
-            let q = self.trans[p as usize * d + c] as usize;
+            let q = self.trans[p as usize * d + c].to as usize;
             if self.len[q] == self.len[p as usize] + 1 {
                 self.link[cur] = q as i32;
             } else {
@@ -130,8 +165,8 @@ impl SuffixAutomaton {
                 self.link[clone] = self.link[q];
                 self.link[q] = clone as i32;
                 self.link[cur] = clone as i32;
-                while p >= 0 && self.trans[p as usize * d + c] == q as u32 {
-                    self.trans[p as usize * d + c] = clone as u32;
+                while p >= 0 && self.trans[p as usize * d + c].to == q as u32 {
+                    self.trans[p as usize * d + c].to = clone as u32;
                     p = self.link[p as usize];
                 }
             }
@@ -139,10 +174,12 @@ impl SuffixAutomaton {
         self.last = cur;
     }
 
-    /// Propagates `maxend` up the suffix-link tree and precomputes the
-    /// chain maxima of `maxend(v) + 2·len(v)`.
+    /// Propagates `maxend` up the suffix-link tree, folds the ancestor
+    /// maxima of `maxend(v) + 2·len(v)` into `up`, and completes every
+    /// missing transition, so the scan makes one lookup per digit.
     fn finish(&mut self) {
         let n = self.states;
+        let d = self.d;
         // Counting sort of states by len ascending (len <= text_len).
         self.counts.clear();
         self.counts.resize(self.text_len + 2, 0);
@@ -167,58 +204,51 @@ impl SuffixAutomaton {
             let u = u as usize;
             if self.link[u] >= 0 {
                 let l = self.link[u] as usize;
-                self.maxend[l] = self.maxend[l].max(self.maxend[u]);
+                self.gain[l].maxend = self.gain[l].maxend.max(self.gain[u].maxend);
             }
         }
-        self.chain.clear();
-        self.chain.resize(n, i64::MIN);
+        // Shortest first, so link(u) is final before u reads it.
         for &u in self.order.iter() {
             let u = u as usize;
             if u == 0 {
-                continue; // root contributes nothing (θ = 0 is the baseline)
+                // The root contributes nothing (θ = 0 is the baseline),
+                // and a digit it lacks restarts the match empty.
+                for e in &mut self.trans[..d] {
+                    if e.to == NONE {
+                        *e = Edge { to: 0, cap: 0 };
+                    }
+                }
+                continue;
             }
-            let own = self.maxend[u] + 2 * i64::from(self.len[u]);
-            let up = self.chain[self.link[u] as usize];
-            self.chain[u] = own.max(up);
+            let v = self.link[u] as usize;
+            if v != 0 {
+                let g = self.gain[v];
+                self.gain[u].up = (g.maxend + 2 * i64::from(self.len[v])).max(g.up);
+            }
+            let via = self.len[v] + 1;
+            for c in 0..d {
+                if self.trans[u * d + c].to == NONE {
+                    let e = self.trans[v * d + c];
+                    self.trans[u * d + c] = Edge {
+                        to: e.to,
+                        cap: e.cap.min(via),
+                    };
+                }
+            }
         }
     }
 
-    /// `min_{i,j} (i − j − l_{i,j}(X, text))` — the value (only) of
-    /// [`crate::matching::min_l_term`]`(x, text)`.
-    fn min_l_value(&self, x: &[u8]) -> i64 {
-        let d = self.d;
-        let mut best = 1 - self.text_len as i64; // θ = 0 baseline at (1, |Y|)
-        let mut u = 0usize;
-        let mut m = 0usize;
-        for (e, &ch) in x.iter().enumerate() {
-            let c = ch as usize;
-            loop {
-                let t = self.trans[u * d + c];
-                if t != NONE {
-                    u = t as usize;
-                    m += 1;
-                    break;
-                }
-                if u == 0 {
-                    m = 0;
-                    break;
-                }
-                u = self.link[u] as usize;
-                m = self.len[u] as usize;
-            }
-            if m > 0 {
-                let mut gain = self.maxend[u] + 2 * m as i64;
-                let up = self.chain[self.link[u] as usize];
-                if up > gain {
-                    gain = up;
-                }
-                let value = (e as i64 + 1) - gain;
-                if value < best {
-                    best = value;
-                }
-            }
-        }
-        best
+    /// Advances the matching-statistics scan by digit `c`: `u` is the state
+    /// of the longest match ending at the previous digit and `m` its
+    /// length. Returns the largest `e_y + 2θ` over the matches ending at
+    /// this digit — no less than the θ = 0 gain when none exists.
+    #[inline(always)]
+    fn step(&self, u: &mut usize, m: &mut u32, c: u8) -> i64 {
+        let e = self.trans[*u * self.d + c as usize];
+        *u = e.to as usize;
+        *m = (*m + 1).min(e.cap);
+        let g = self.gain[*u];
+        (g.maxend + 2 * i64::from(*m)).max(g.up)
     }
 }
 
@@ -254,9 +284,8 @@ pub struct DestinationContext {
     sams_ready: bool,
     sam: SuffixAutomaton,
     sam_rev: SuffixAutomaton,
-    // Per-source scratch: packed lanes and reversed digits of x.
+    // Per-source scratch: packed lanes of x.
     xp: Vec<u64>,
-    xr: Vec<u8>,
 }
 
 impl DestinationContext {
@@ -355,7 +384,9 @@ impl DestinationContext {
 
     /// Whether the automaton-based [`family_min_values`](Self::family_min_values)
     /// scan is available for word length `k` over radix `d` (the flat
-    /// transition tables are capped at `SAM_MAX_CELLS` cells).
+    /// transition tables are capped at `SAM_MAX_CELLS` cells, about 16 MiB
+    /// per automaton; radix 2 qualifies up to `k = 524 287`, radix 255 up
+    /// to `k = 4111`).
     pub fn supports_family_scan(d: u8, k: usize) -> bool {
         2usize.saturating_mul(k + 1).saturating_mul(d as usize) <= SAM_MAX_CELLS
     }
@@ -383,10 +414,16 @@ impl DestinationContext {
             self.sam_rev.build(self.d as usize, &self.yr);
             self.sams_ready = true;
         }
-        let l = self.sam.min_l_value(x);
-        self.xr.clear();
-        self.xr.extend(x.iter().rev());
-        let r = self.sam_rev.min_l_value(&self.xr);
+        // One pass over x: the l family scans x through Y's automaton, the
+        // r family scans x̄ (x read backwards) through Ȳ's.
+        let (sam, sam_rev) = (&self.sam, &self.sam_rev);
+        let (mut l, mut r) = (1 - self.y.len() as i64, 1 - self.y.len() as i64);
+        let (mut u, mut m, mut u_rev, mut m_rev) = (0, 0, 0, 0);
+        for (e, (&a, &b)) in x.iter().zip(x.iter().rev()).enumerate() {
+            let end = e as i64 + 1;
+            l = l.min(end - sam.step(&mut u, &mut m, a));
+            r = r.min(end - sam_rev.step(&mut u_rev, &mut m_rev, b));
+        }
         (l, r)
     }
 }
@@ -396,23 +433,7 @@ mod tests {
     use super::*;
     use crate::failure::{overlap, overlap_with_scratch};
     use crate::matching::min_l_term;
-
-    fn all_strings(alphabet: u8, len: usize) -> Vec<Vec<u8>> {
-        let mut out = vec![Vec::new()];
-        for _ in 0..len {
-            out = out
-                .into_iter()
-                .flat_map(|s| {
-                    (0..alphabet).map(move |d| {
-                        let mut t = s.clone();
-                        t.push(d);
-                        t
-                    })
-                })
-                .collect();
-        }
-        out
-    }
+    use crate::testgen::{self, all_strings, Rng};
 
     #[test]
     fn overlap_matches_reference_exhaustively() {
@@ -552,5 +573,26 @@ mod tests {
     #[should_panic(expected = "k must be at least 1")]
     fn rejects_empty_destination() {
         DestinationContext::new().set_destination(2, &[]);
+    }
+
+    #[test]
+    fn family_values_match_morris_pratt_on_seeded_pairs_with_planted_blocks() {
+        // The bit-parallel oracle's seeded cases (every lane width's
+        // radixes, lengths up to 300, every third pair with a planted
+        // common block), here against the Morris–Pratt minima.
+        let mut ctx = DestinationContext::new();
+        let mut rng = Rng::new(0x5EED_0003);
+        for i in 0..150 {
+            for d in testgen::RADIXES {
+                let max_k = if i % 5 == 0 { 300 } else { 100 };
+                let (x, y) = testgen::pair(&mut rng, d, i, max_k);
+                ctx.set_destination(d, &y);
+                let (l, r) = ctx.family_min_values(&x);
+                let xr: Vec<u8> = x.iter().rev().copied().collect();
+                let yr: Vec<u8> = y.iter().rev().copied().collect();
+                assert_eq!(l, min_l_term(&x, &y).value, "l: d={d} x={x:?} y={y:?}");
+                assert_eq!(r, min_l_term(&xr, &yr).value, "r: d={d} x={x:?} y={y:?}");
+            }
+        }
     }
 }

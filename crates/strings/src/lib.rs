@@ -38,6 +38,8 @@ pub mod matcher;
 pub mod matching;
 pub mod suffix_array;
 pub mod suffix_tree;
+#[cfg(test)]
+mod testgen;
 pub mod zfunction;
 
 pub use algorithm3::{algorithm3_row, algorithm3_row_into};

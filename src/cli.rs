@@ -457,10 +457,11 @@ Addresses are digit strings (\"0110\") or dot-separated for d > 10
 
 Engines E for the bidirectional distance: auto (default) | bit-parallel |
 suffix-tree | mp | naive. auto picks the word-parallel bit-parallel
-engine up to k = 512 and the O(k) suffix tree beyond — the measured
-crossover where tree construction overtakes the packed diagonal sweep
-(see docs/PERFORMANCE.md). --batch FILE reads one \"X Y\" pair per line
-(`-` = stdin, `#` comments ok) and prints one result per line;
+engine while the packed diagonal sweep still beats tree construction
+(k <= 8192 for d = 2, 2048 for d = 3..16, 1024 beyond) and the O(k)
+suffix tree past that (see docs/PERFORMANCE.md). --batch FILE reads
+one \"X Y\" pair per line (`-` = stdin, `#` comments ok) and prints
+one result per line;
 --threads N fans the batch (or the simulator's route precomputation)
 out over N workers (0 = all cores) with results merged in input order,
 byte-identical to --threads 1. --route-cache N bounds the simulator's
@@ -1007,37 +1008,27 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                     writeln!(out, "route:    {route}").expect("write to string");
                 }
                 (None, Some(file)) => {
-                    let pairs = read_batch_pairs(*d, file)?;
                     // Fixed-size chunks through the destination-major
                     // kernel: per-destination preprocessing amortizes
-                    // within each chunk, one scratch + route buffer +
-                    // output string per chunk instead of per line, and
-                    // the chunk geometry (not the thread count) fixes
-                    // the output, so `--threads` never changes a byte.
-                    let chunks = debruijn_parallel::map_chunks(
-                        *threads,
-                        pairs.len(),
-                        BATCH_CHUNK,
-                        |range| {
-                            let mut scratch = debruijn_core::BatchScratch::new();
-                            let mut routes = Vec::new();
-                            debruijn_core::route_batch_into(
-                                &pairs[range],
-                                *directed,
-                                *engine,
-                                &mut scratch,
-                                &mut routes,
-                            );
-                            let mut text = String::new();
-                            for r in &routes {
-                                writeln!(text, "{} {r}", r.len()).expect("write to string");
-                            }
-                            text
-                        },
-                    );
-                    for chunk in chunks {
-                        out.push_str(&chunk);
-                    }
+                    // within each chunk, one scratch + route buffer per
+                    // chunk instead of per line, and the chunk geometry
+                    // (not the thread count) fixes the output, so
+                    // `--threads` never changes a byte.
+                    let text = run_batch(*d, file, *threads, |pairs, text| {
+                        let mut scratch = debruijn_core::BatchScratch::new();
+                        let mut routes = Vec::new();
+                        debruijn_core::route_batch_into(
+                            pairs,
+                            *directed,
+                            *engine,
+                            &mut scratch,
+                            &mut routes,
+                        );
+                        for r in &routes {
+                            writeln!(text, "{} {r}", r.len()).expect("write to string");
+                        }
+                    })?;
+                    out.push_str(&text);
                 }
                 (None, None) => unreachable!("parser guarantees pair or batch"),
             }
@@ -1063,31 +1054,21 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                     writeln!(out, "{}", dist_one(&x, &y)).expect("write to string");
                 }
                 (None, Some(file)) => {
-                    let pairs = read_batch_pairs(*d, file)?;
-                    let chunks = debruijn_parallel::map_chunks(
-                        *threads,
-                        pairs.len(),
-                        BATCH_CHUNK,
-                        |range| {
-                            let mut scratch = debruijn_core::BatchScratch::new();
-                            let mut dists = Vec::new();
-                            debruijn_core::distance_batch_into(
-                                &pairs[range],
-                                *directed,
-                                *engine,
-                                &mut scratch,
-                                &mut dists,
-                            );
-                            let mut text = String::new();
-                            for dist in &dists {
-                                writeln!(text, "{dist}").expect("write to string");
-                            }
-                            text
-                        },
-                    );
-                    for chunk in chunks {
-                        out.push_str(&chunk);
-                    }
+                    let text = run_batch(*d, file, *threads, |pairs, text| {
+                        let mut scratch = debruijn_core::BatchScratch::new();
+                        let mut dists = Vec::new();
+                        debruijn_core::distance_batch_into(
+                            pairs,
+                            *directed,
+                            *engine,
+                            &mut scratch,
+                            &mut dists,
+                        );
+                        for dist in &dists {
+                            writeln!(text, "{dist}").expect("write to string");
+                        }
+                    })?;
+                    out.push_str(&text);
                 }
                 (None, None) => unreachable!("parser guarantees pair or batch"),
             }
@@ -2024,9 +2005,20 @@ fn pair_or_batch(
     }
 }
 
-/// Reads "X Y" pairs (whitespace-separated, one per line; blank lines and
-/// `#` comments skipped) from a batch file, or stdin for `-`.
-fn read_batch_pairs(d: u8, path: &str) -> Result<Vec<(Word, Word)>, String> {
+/// Answers a batch file (or stdin for `-`) of "X Y" pairs, whitespace
+/// separated, one per line, in fixed chunks of [`BATCH_CHUNK`] pairs.
+///
+/// Only the line split is serial: blank lines and `#` comments are
+/// skipped there, so every chunk but the last holds `BATCH_CHUNK` pairs.
+/// Each chunk's lines are parsed inside its `map_chunks` worker, then
+/// `answer` appends the chunk's output. A bad line fails the batch with
+/// the error of the earliest one in the file, for any thread count.
+fn run_batch(
+    d: u8,
+    path: &str,
+    threads: usize,
+    answer: impl Fn(&[(Word, Word)], &mut String) + Sync,
+) -> Result<String, String> {
     let text = if path == "-" {
         use std::io::Read as _;
         let mut buf = String::new();
@@ -2037,21 +2029,30 @@ fn read_batch_pairs(d: u8, path: &str) -> Result<Vec<(Word, Word)>, String> {
     } else {
         std::fs::read_to_string(path).map_err(|e| format!("cannot read batch '{path}': {e}"))?
     };
-    // One up-front reservation instead of doubling mid-parse: batch
-    // files are one pair per line, so the line count bounds the result.
-    let mut pairs = Vec::with_capacity(text.lines().count());
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+    let lines: Vec<(usize, &str)> = text
+        .lines()
+        .map(str::trim)
+        .enumerate()
+        .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
+        .collect();
+    let chunks = debruijn_parallel::map_chunks(threads, lines.len(), BATCH_CHUNK, |range| {
+        let mut pairs = Vec::with_capacity(range.len());
+        for &(lineno, line) in &lines[range] {
+            let mut it = line.split_whitespace();
+            let (Some(x), Some(y), None) = (it.next(), it.next(), it.next()) else {
+                return Err(format!("batch line {}: expected 'X Y'", lineno + 1));
+            };
+            pairs.push(parse_pair(d, x, y).map_err(|e| format!("batch line {}: {e}", lineno + 1))?);
         }
-        let mut it = line.split_whitespace();
-        let (Some(x), Some(y), None) = (it.next(), it.next(), it.next()) else {
-            return Err(format!("batch line {}: expected 'X Y'", lineno + 1));
-        };
-        pairs.push(parse_pair(d, x, y).map_err(|e| format!("batch line {}: {e}", lineno + 1))?);
+        let mut out = String::new();
+        answer(&pairs, &mut out);
+        Ok(out)
+    });
+    let mut out = String::new();
+    for chunk in chunks {
+        out.push_str(&chunk?);
     }
-    Ok(pairs)
+    Ok(out)
 }
 
 fn parse_num(s: &str, what: &str) -> Result<usize, String> {
@@ -2230,6 +2231,45 @@ mod tests {
         assert_eq!(route_serial, route_par);
         // Each batch route line is "<len> <route>", one per pair.
         assert_eq!(route_serial.lines().count(), 16 * 16);
+    }
+
+    #[test]
+    fn batch_errors_name_the_earliest_bad_line_for_any_thread_count() {
+        // Bad lines in the second and third chunk; the comment and blank
+        // lines count toward line numbers but not toward chunk sizes.
+        let path = std::env::temp_dir().join(format!("dbr-badbatch-{}.txt", std::process::id()));
+        let write = |bad: &[(usize, &str)]| {
+            let mut text = String::from("# header\n\n");
+            for i in 0..1500 {
+                let line = bad
+                    .iter()
+                    .find(|(at, _)| *at == i)
+                    .map_or("0101 1010", |b| b.1);
+                text.push_str(line);
+                text.push('\n');
+            }
+            std::fs::write(&path, text).unwrap();
+        };
+        let path_str = path.to_str().unwrap().to_string();
+        let errors = |cmd: &str| -> Vec<String> {
+            [1, 2, 8]
+                .map(|t| {
+                    run(&parse_line(&format!("{cmd} 2 --batch {path_str} --threads {t}")).unwrap())
+                        .unwrap_err()
+                })
+                .to_vec()
+        };
+        write(&[(700, "0101 01x1"), (1300, "0101")]);
+        for cmd in ["distance", "route"] {
+            for e in errors(cmd) {
+                assert!(e.starts_with("batch line 703: bad Y"), "{cmd}: {e}");
+            }
+        }
+        write(&[(1300, "0101")]);
+        for e in errors("distance") {
+            assert_eq!(e, "batch line 1303: expected 'X Y'");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
