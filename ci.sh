@@ -6,6 +6,9 @@ set -eu
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
+# The per-family CLI tests are include!d into `cli::tests`, out of
+# cargo fmt's reach (ADR 0009).
+rustfmt --edition 2021 --check src/cli/*_tests.rs
 
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -84,7 +84,6 @@ pub use service::{QueryService, ServiceConfig};
 pub use shard::{NextHopMode, ShardedSimulation};
 pub use sim::{
     FaultHandling, ForwardingMode, Injection, LinkParams, NetError, SimConfig, Simulation,
-    TraceEvent, TraceKind,
 };
 pub use stats::{Histogram, SimReport};
 pub use telemetry::{ChromeTraceRecorder, LogHistogram, SnapshotRecorder, Telemetry};

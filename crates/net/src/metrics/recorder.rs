@@ -155,7 +155,7 @@ impl Recorder for RegistryRecorder {
                         )
                     })
                     .inc();
-                self.per_hop_latency.observe(arrives - time);
+                self.per_hop_latency.observe(arrives.saturating_sub(*time));
                 self.queue_wait.observe(*queue_wait);
                 self.queue_depth.observe(*queue_depth as u64);
             }

@@ -61,6 +61,13 @@ pub enum Placement {
 }
 
 impl Placement {
+    /// The placement [`name`](Self::name)d `name`, if any.
+    pub fn parse(name: &str) -> Option<Self> {
+        [Placement::Identifying, Placement::All]
+            .into_iter()
+            .find(|p| p.name() == name)
+    }
+
     /// Stable name used in CLI flags and metric labels.
     pub fn name(&self) -> &'static str {
         match self {

@@ -33,6 +33,11 @@ impl WildcardPolicy {
         ]
     }
 
+    /// The policy [`name`](Self::name)d `name`, if any.
+    pub fn parse(name: &str) -> Option<Self> {
+        Self::all().into_iter().find(|p| p.name() == name)
+    }
+
     /// Human-readable name for experiment tables.
     pub fn name(&self) -> &'static str {
         match self {

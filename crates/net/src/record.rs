@@ -230,6 +230,24 @@ impl NetEvent {
         }
     }
 
+    /// The node addresses the event names, in field order.
+    pub fn addresses(&self) -> impl Iterator<Item = &Word> {
+        let pair = match self {
+            NetEvent::Inject {
+                source,
+                destination,
+                ..
+            } => [Some(source), Some(destination)],
+            NetEvent::Forward { from, to, .. } => [Some(from), Some(to)],
+            NetEvent::WildcardResolved { at, .. } | NetEvent::Reroute { at, .. } => {
+                [Some(at), None]
+            }
+            NetEvent::Drop { at, upstream, .. } => [Some(at), upstream.as_ref()],
+            NetEvent::Deliver { .. } => [None, None],
+        };
+        pair.into_iter().flatten()
+    }
+
     /// The event's [`EventClass`].
     pub fn class(&self) -> EventClass {
         match self {
@@ -320,6 +338,24 @@ impl Recorder for NullRecorder {
     }
 
     fn record(&mut self, _event: &NetEvent) {}
+}
+
+/// An optional sink: `None` is disabled and records nothing, so a
+/// caller can push every optional sink into a [`FanoutRecorder`].
+impl<R: Recorder> Recorder for Option<R> {
+    fn enabled(&self) -> bool {
+        self.as_ref().is_some_and(R::enabled)
+    }
+
+    fn wants(&self, class: EventClass) -> bool {
+        self.as_ref().is_some_and(|r| r.wants(class))
+    }
+
+    fn record(&mut self, event: &NetEvent) {
+        if let Some(r) = self {
+            r.record(event);
+        }
+    }
 }
 
 /// Fans one event stream out to several sinks (e.g. metrics + trace).
@@ -447,7 +483,9 @@ impl Recorder for InMemoryRecorder {
                 queue_depth,
                 ..
             } => {
-                self.per_hop_latency.record(arrives - time);
+                // Saturating: a hand-edited trace may claim an arrival
+                // before the handover.
+                self.per_hop_latency.record(arrives.saturating_sub(*time));
                 self.queue_wait.record(*queue_wait);
                 self.queue_depth.record(*queue_depth as u64);
             }
@@ -693,12 +731,9 @@ pub fn parse_event(d: u8, line: &str) -> Result<NetEvent, String> {
                 other => return Err(format!("unknown shift '{other}'")),
             },
             digit: num("digit")? as u8,
-            policy: match text("policy")? {
-                "zero" => WildcardPolicy::Zero,
-                "random" => WildcardPolicy::Random,
-                "round-robin" => WildcardPolicy::RoundRobin,
-                "least-loaded" => WildcardPolicy::LeastLoaded,
-                other => return Err(format!("unknown policy '{other}'")),
+            policy: {
+                let name = text("policy")?;
+                WildcardPolicy::parse(name).ok_or_else(|| format!("unknown policy '{name}'"))?
             },
         }),
         "forward" => Ok(NetEvent::Forward {
@@ -792,53 +827,6 @@ fn parse_flat_object(line: &str) -> Result<BTreeMap<String, JsonScalar>, String>
         }
     }
     Ok(out)
-}
-
-/// Bridges the recorder stream back onto the legacy
-/// [`TraceEvent`](crate::sim::TraceEvent) vector used by
-/// [`Simulation::run_traced`](crate::Simulation::run_traced).
-pub(crate) struct TraceAdapter<'a> {
-    pub(crate) trace: &'a mut Vec<crate::sim::TraceEvent>,
-}
-
-impl Recorder for TraceAdapter<'_> {
-    fn record(&mut self, event: &NetEvent) {
-        use crate::sim::{TraceEvent, TraceKind};
-        let (time, message, kind) = match event {
-            NetEvent::Inject {
-                time,
-                message,
-                source,
-                ..
-            } => (*time, *message, TraceKind::Injected { at: source.clone() }),
-            NetEvent::Forward {
-                time,
-                message,
-                from,
-                to,
-                departs,
-                ..
-            } => (
-                *time,
-                *message,
-                TraceKind::Forwarded {
-                    from: from.clone(),
-                    to: to.clone(),
-                    departs: *departs,
-                },
-            ),
-            NetEvent::Deliver { time, message, .. } => (*time, *message, TraceKind::Delivered),
-            NetEvent::Drop { time, message, .. } => (*time, *message, TraceKind::Dropped),
-            // Wildcard resolutions and reroutes have no legacy
-            // trace representation.
-            NetEvent::WildcardResolved { .. } | NetEvent::Reroute { .. } => return,
-        };
-        self.trace.push(TraceEvent {
-            time,
-            message,
-            kind,
-        });
-    }
 }
 
 #[cfg(test)]

@@ -8,9 +8,8 @@
 //! served it. Everything is deterministic given [`SimConfig::seed`].
 //!
 //! Every run drives a [`Recorder`] (see [`crate::record`]): [`Simulation::run`]
-//! uses the free [`NullRecorder`], [`Simulation::run_recorded`] accepts any
-//! sink, and [`Simulation::run_traced`] adapts the event stream back onto
-//! the legacy [`TraceEvent`] vector.
+//! uses the free [`NullRecorder`], and [`Simulation::run_recorded`] accepts
+//! any sink.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -24,7 +23,7 @@ use debruijn_graph::{fault, DebruijnGraph, GraphError};
 
 use crate::message::Message;
 use crate::policy::WildcardPolicy;
-use crate::record::{DropReason, NetEvent, NullRecorder, Observe, Recorder, TraceAdapter};
+use crate::record::{DropReason, NetEvent, NullRecorder, Observe, Recorder};
 use crate::router::RouterKind;
 use crate::stats::SimReport;
 
@@ -187,42 +186,6 @@ impl From<GraphError> for NetError {
     }
 }
 
-/// One entry of a simulation trace (see [`Simulation::run_traced`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Simulator time of the event.
-    pub time: u64,
-    /// Index of the message in the injected traffic.
-    pub message: usize,
-    /// What happened.
-    pub kind: TraceKind,
-}
-
-/// The kind of a [`TraceEvent`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceKind {
-    /// The message entered the network at its source.
-    Injected {
-        /// Source address.
-        at: Word,
-    },
-    /// The message was handed to the link `from → to`; it departs the
-    /// link at `departs` (after any queueing) and arrives `latency`
-    /// later.
-    Forwarded {
-        /// Transmitting node.
-        from: Word,
-        /// Receiving node.
-        to: Word,
-        /// Time the link starts serving the message.
-        departs: u64,
-    },
-    /// The message was accepted at its destination.
-    Delivered,
-    /// The message was lost (fault on the path or unreachable).
-    Dropped,
-}
-
 /// A configured de Bruijn network simulation.
 ///
 /// See the crate docs for an end-to-end example.
@@ -357,22 +320,6 @@ impl Simulation {
     /// space.
     pub fn run_recorded(&self, traffic: &[Injection], recorder: &mut dyn Recorder) -> SimReport {
         self.run_impl(traffic, recorder)
-    }
-
-    /// Like [`Simulation::run`], but also records a full event trace
-    /// (injections, per-link forwards with departure times, deliveries,
-    /// drops). Used by debugging tools and the FIFO-invariant tests;
-    /// traces grow with total hop count, so prefer [`Simulation::run`]
-    /// for large workloads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an injection references a word outside the simulated
-    /// space.
-    pub fn run_traced(&self, traffic: &[Injection]) -> (SimReport, Vec<TraceEvent>) {
-        let mut trace = Vec::new();
-        let report = self.run_impl(traffic, &mut TraceAdapter { trace: &mut trace });
-        (report, trace)
     }
 
     fn run_impl(&self, traffic: &[Injection], recorder: &mut dyn Recorder) -> SimReport {
@@ -904,6 +851,19 @@ mod tests {
         Simulation::new(space(d, k), config).unwrap()
     }
 
+    /// Runs `traffic` and returns the report with every recorded event.
+    fn run_collected(s: &Simulation, traffic: &[Injection]) -> (SimReport, Vec<NetEvent>) {
+        struct Collect(Vec<NetEvent>);
+        impl Recorder for Collect {
+            fn record(&mut self, event: &NetEvent) {
+                self.0.push(event.clone());
+            }
+        }
+        let mut collect = Collect(Vec::new());
+        let report = s.run_recorded(traffic, &mut collect);
+        (report, collect.0)
+    }
+
     #[test]
     fn every_message_is_delivered_without_faults() {
         for router in RouterKind::all() {
@@ -1124,13 +1084,13 @@ mod tests {
         let traffic = workload::uniform_random(sp, 150, 4);
         let s = sim(2, 4, SimConfig::default());
         let plain = s.run(&traffic);
-        let (traced, trace) = s.run_traced(&traffic);
+        let (traced, trace) = run_collected(&s, &traffic);
         assert_eq!(plain, traced);
         // Every message gets exactly one terminal event.
         let mut terminal = vec![0usize; traffic.len()];
         for ev in &trace {
-            if matches!(ev.kind, TraceKind::Delivered | TraceKind::Dropped) {
-                terminal[ev.message] += 1;
+            if matches!(ev, NetEvent::Deliver { .. } | NetEvent::Drop { .. }) {
+                terminal[ev.message()] += 1;
             }
         }
         assert!(
@@ -1140,7 +1100,7 @@ mod tests {
         // Forward counts match the reported hop total.
         let forwards = trace
             .iter()
-            .filter(|e| matches!(e.kind, TraceKind::Forwarded { .. }))
+            .filter(|e| matches!(e, NetEvent::Forward { .. }))
             .count();
         assert_eq!(forwards as u64, traced.total_hops);
     }
@@ -1309,12 +1269,19 @@ mod tests {
             .chain(workload::permutation(sp, 2))
             .collect::<Vec<_>>();
         let s = sim(2, 4, SimConfig::default());
-        let (_, trace) = s.run_traced(&traffic);
+        let (_, trace) = run_collected(&s, &traffic);
         let mut last_depart: HashMap<(u128, u128), u64> = HashMap::new();
         let mut events: Vec<(&Word, &Word, u64, u64)> = Vec::new();
         for ev in &trace {
-            if let TraceKind::Forwarded { from, to, departs } = &ev.kind {
-                events.push((from, to, ev.time, *departs));
+            if let NetEvent::Forward {
+                from,
+                to,
+                time,
+                departs,
+                ..
+            } = ev
+            {
+                events.push((from, to, *time, *departs));
             }
         }
         // The trace is produced in event order, which is handover order.

@@ -186,7 +186,7 @@ impl<W: io::Write> Recorder for ChromeTraceRecorder<W> {
                     "{{\"name\":\"transit\",\"cat\":\"hop\",\"ph\":\"X\",\"ts\":{departs},\
                      \"dur\":{},\"pid\":0,\"tid\":{tid},\
                      \"args\":{{\"message\":{message},\"hop\":{hop},\"to\":\"{to}\"}}}}",
-                    arrives - departs
+                    arrives.saturating_sub(*departs)
                 ));
             }
             NetEvent::Reroute { time, message, at } => {

@@ -35,10 +35,10 @@ impl LinkStat {
         queue_depth: usize,
     ) {
         self.forwarded += 1;
-        self.queue_wait_total += queue_wait;
+        self.queue_wait_total = self.queue_wait_total.saturating_add(queue_wait);
         self.queue_depth_high_water = self.queue_depth_high_water.max(queue_depth);
         let start = departs.max(self.last_busy_end);
-        self.busy += arrives.saturating_sub(start);
+        self.busy = self.busy.saturating_add(arrives.saturating_sub(start));
         self.last_busy_end = self.last_busy_end.max(arrives);
     }
 

@@ -120,7 +120,9 @@ impl Telemetry {
 
     /// Messages injected but not yet delivered or dropped.
     pub fn in_flight(&self) -> u64 {
-        self.injected - self.delivered - self.dropped()
+        self.injected
+            .saturating_sub(self.delivered)
+            .saturating_sub(self.dropped())
     }
 
     /// Total wildcard resolutions.
@@ -199,7 +201,7 @@ impl Recorder for Telemetry {
                 queue_depth,
                 ..
             } => {
-                self.per_hop_latency.record(arrives - time);
+                self.per_hop_latency.record(arrives.saturating_sub(*time));
                 self.queue_wait.record(*queue_wait);
                 self.queue_depth.record(*queue_depth as u64);
                 let (f, t) = (from.rank(), to.rank());

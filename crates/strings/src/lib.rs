@@ -36,7 +36,6 @@ pub mod failure;
 pub mod gst;
 pub mod matcher;
 pub mod matching;
-pub mod suffix_array;
 pub mod suffix_tree;
 #[cfg(test)]
 mod testgen;
@@ -52,6 +51,5 @@ pub use matching::{
     l_table, l_table_naive, min_l_term, min_l_term_with_scratch, r_table, r_table_naive,
     MatchScratch, MatchTerm,
 };
-pub use suffix_array::{lcp_array, suffix_array};
 pub use suffix_tree::SuffixTree;
 pub use zfunction::{overlap_via_z, z_array};

@@ -5,17 +5,23 @@
 
 use std::process::ExitCode;
 
+use debruijn_suite::cli::{self, TRACE_USAGE, USAGE};
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = match debruijn_suite::cli::parse(&args) {
+    let cmd = match cli::parse(&args) {
         Ok(cmd) => cmd,
         Err(msg) => {
             eprintln!("error: {msg}");
-            eprintln!("{}", debruijn_suite::cli::USAGE);
+            // An unknown subcommand or a `dbr trace` mistake already ends
+            // with its usage block.
+            if !msg.ends_with(USAGE) && !msg.ends_with(TRACE_USAGE) {
+                eprintln!("{USAGE}");
+            }
             return ExitCode::FAILURE;
         }
     };
-    match debruijn_suite::cli::run(&cmd) {
+    match cli::run(&cmd) {
         Ok(output) => {
             print!("{output}");
             ExitCode::SUCCESS

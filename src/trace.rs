@@ -38,27 +38,56 @@ pub struct Trace {
     pub events: Vec<NetEvent>,
 }
 
-/// Reads and parses a JSONL trace file.
-///
-/// With `radix: None` the radix is inferred via [`infer_radix`].
+/// Reads and parses a JSONL trace file (see [`parse`]).
 ///
 /// # Errors
 ///
-/// Returns a message naming the file and line on I/O or parse errors.
+/// Returns a message naming the file on I/O errors, and as [`parse`]
+/// does otherwise.
 pub fn load(path: &str, radix: Option<u8>) -> Result<Trace, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read trace '{path}': {e}"))?;
-    let d = match radix {
-        Some(d) => d,
-        None => infer_radix(&text),
-    };
+    parse(path, &text, radix, None)
+}
+
+/// Parses JSONL trace text, named `path` in errors.
+///
+/// Addresses are words of radix `radix` (for `None`, inferred via
+/// [`infer_radix`]) and length `k` (for `None`, the first address's).
+///
+/// # Errors
+///
+/// Returns a message naming the file and line of the first line that is
+/// not an event or names an address of another length, and one naming
+/// the file when `d^k` overflows a `u128`: the analyses key nodes by
+/// rank, which identifies a word only among words of one length, and
+/// only while it fits.
+pub fn parse(
+    path: &str,
+    text: &str,
+    radix: Option<u8>,
+    mut k: Option<usize>,
+) -> Result<Trace, String> {
+    let d = radix.unwrap_or_else(|| infer_radix(text));
     let mut events = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let event = parse_event(d, line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
+        let at = |e| format!("{path}:{}: {e}", i + 1);
+        let event = parse_event(d, line).map_err(at)?;
+        for w in event.addresses() {
+            let k = *k.get_or_insert(w.len());
+            if w.len() != k {
+                return Err(at(format!("address {w} has {} digits, not {k}", w.len())));
+            }
+        }
         events.push(event);
+    }
+    let rankable =
+        |k: usize| u32::try_from(k).is_ok_and(|k| u128::from(d).checked_pow(k).is_some());
+    if let Some(k) = k.filter(|&k| !rankable(k)) {
+        return Err(format!("{path}: {k}-digit addresses are too long to rank"));
     }
     Ok(Trace { d, events })
 }
@@ -235,6 +264,16 @@ pub enum TraceMetric {
 /// The metric names `dbr trace hist` accepts.
 pub const METRIC_NAMES: &str = "hops|latency|stretch|queue-wait|queue-depth|per-hop-latency";
 
+/// Every metric with its CLI name, in [`METRIC_NAMES`] order.
+const METRICS: [(TraceMetric, &str); 6] = [
+    (TraceMetric::Hops, "hops"),
+    (TraceMetric::Latency, "latency"),
+    (TraceMetric::Stretch, "stretch"),
+    (TraceMetric::QueueWait, "queue-wait"),
+    (TraceMetric::QueueDepth, "queue-depth"),
+    (TraceMetric::PerHopLatency, "per-hop-latency"),
+];
+
 impl TraceMetric {
     /// Parses a CLI metric name.
     ///
@@ -242,31 +281,20 @@ impl TraceMetric {
     ///
     /// Lists the accepted names when `s` is not one of them.
     pub fn parse(s: &str) -> Result<Self, String> {
-        Ok(match s {
-            "hops" => Self::Hops,
-            "latency" => Self::Latency,
-            "stretch" => Self::Stretch,
-            "queue-wait" => Self::QueueWait,
-            "queue-depth" => Self::QueueDepth,
-            "per-hop-latency" => Self::PerHopLatency,
-            other => {
-                return Err(format!(
-                    "unknown metric '{other}' (expected {METRIC_NAMES})"
-                ))
-            }
-        })
+        METRICS
+            .iter()
+            .find(|&&(_, name)| name == s)
+            .map(|&(metric, _)| metric)
+            .ok_or_else(|| format!("unknown metric '{s}' (expected {METRIC_NAMES})"))
     }
 
     /// The CLI name of the metric.
     pub fn name(self) -> &'static str {
-        match self {
-            Self::Hops => "hops",
-            Self::Latency => "latency",
-            Self::Stretch => "stretch",
-            Self::QueueWait => "queue-wait",
-            Self::QueueDepth => "queue-depth",
-            Self::PerHopLatency => "per-hop-latency",
-        }
+        METRICS
+            .iter()
+            .find(|&&(metric, _)| metric == self)
+            .expect("METRICS lists every metric")
+            .1
     }
 
     fn select(self, memory: &InMemoryRecorder) -> &debruijn_net::Histogram {
