@@ -73,6 +73,18 @@ impl Table {
         out
     }
 
+    /// Renders the table as a GitHub-flavoured Markdown table, the form
+    /// EXPERIMENTS.md quotes.
+    pub fn to_markdown(&self) -> String {
+        let line = |cells: &[String]| format!("| {} |\n", cells.join(" | "));
+        let mut out = line(&self.headers);
+        out.push_str(&format!("|{}\n", "---|".repeat(self.headers.len())));
+        for row in &self.rows {
+            out.push_str(&line(row));
+        }
+        out
+    }
+
     /// Writes the CSV rendering to `path`, creating parent directories.
     ///
     /// # Errors
@@ -172,6 +184,13 @@ mod tests {
         assert_eq!(lines[0], "name,note");
         assert_eq!(lines[1], "plain,\"a,b\"");
         assert_eq!(lines[2], "\"quoted\"\"q\",x");
+    }
+
+    #[test]
+    fn markdown_has_a_header_rule_and_one_line_per_row() {
+        let mut t = Table::new(vec!["k".into(), "v".into()]);
+        t.row(vec!["1".into(), "2.5".into()]);
+        assert_eq!(t.to_markdown(), "| k | v |\n|---|---|\n| 1 | 2.5 |\n");
     }
 
     #[test]

@@ -2,110 +2,14 @@
 //!
 //! For growing random fault sets, measures connectivity of the surviving
 //! graph, delivery rate under naive forwarding (drop at the fault) and
-//! under source rerouting, and the path-length stretch of the detours.
-//! With fewer than `d` faults the network stays connected (Pradhan–Reddy)
-//! and rerouting only loses messages whose endpoints died.
-
-use debruijn_analysis::Table;
-use debruijn_core::rng::SplitMix64;
-use debruijn_core::{DeBruijn, Word};
-use debruijn_graph::{connectivity, fault, DebruijnGraph};
-use debruijn_net::{workload, FaultHandling, SimConfig, Simulation};
+//! under source rerouting, and the path-length stretch of the detours
+//! (see `debruijn_bench::experiments`). With fewer than `d` faults the
+//! network stays connected (Pradhan–Reddy) and rerouting only loses
+//! messages whose endpoints died.
 
 fn main() {
-    println!("E8: fault tolerance of DN(d,k)\n");
-    for &(d, k) in &[(2u8, 6usize), (3, 4), (4, 3)] {
-        let space = DeBruijn::new(d, k).expect("valid parameters");
-        let graph = DebruijnGraph::undirected(space).expect("materializable");
-        let n = space.order_usize().expect("enumerable");
-        println!("DN({d},{k}): {n} nodes, d-1 = {} tolerated faults", d - 1);
-        let mut table = Table::new(
-            [
-                "faults",
-                "components",
-                "drop: delivery",
-                "reroute: delivery",
-                "mean stretch",
-            ]
-            .map(String::from)
-            .to_vec(),
-        );
-        let mut rng = SplitMix64::new(0xE8);
-        let mut all: Vec<u128> = (1..n as u128).collect();
-        rng.shuffle(&mut all);
-        let traffic = workload::uniform_random(space, 3_000, 0xE8);
-        for f in 0..=(d as usize + 1) {
-            let faults: Vec<Word> = all[..f]
-                .iter()
-                .map(|&r| space.word_from_rank(r).expect("rank in range"))
-                .collect();
-            let fault_ids: Vec<u32> = faults.iter().map(|w| graph.rank_of(w)).collect();
-            let components = connectivity::components_after_faults(&graph, &fault_ids);
-
-            let drop_sim = Simulation::new(space, SimConfig::default())
-                .expect("valid config")
-                .with_faults(faults.clone())
-                .expect("faults are vertices");
-            let drop_report = drop_sim.run(&traffic);
-
-            let reroute_sim = Simulation::new(
-                space,
-                SimConfig {
-                    fault_handling: FaultHandling::SourceReroute,
-                    ..SimConfig::default()
-                },
-            )
-            .expect("valid config")
-            .with_faults(faults.clone())
-            .expect("faults are vertices");
-            let reroute_report = reroute_sim.run(&traffic);
-
-            // Mean stretch over a sample of surviving pairs.
-            let mut stretch_sum = 0.0;
-            let mut stretch_n = 0usize;
-            for inj in traffic.iter().take(400) {
-                if faults.contains(&inj.source) || faults.contains(&inj.destination) {
-                    continue;
-                }
-                if let Some(s) = fault::stretch(&graph, &inj.source, &inj.destination, &faults) {
-                    stretch_sum += s;
-                    stretch_n += 1;
-                }
-            }
-            let mean_stretch = if stretch_n > 0 {
-                stretch_sum / stretch_n as f64
-            } else {
-                f64::NAN
-            };
-
-            if f < d as usize {
-                assert_eq!(components, 1, "fewer than d faults must not disconnect");
-                assert!(
-                    (reroute_report.delivery_rate() - expected_reroute_rate(&traffic, &faults))
-                        .abs()
-                        < 1e-9,
-                    "rerouting must only lose faulty endpoints"
-                );
-            }
-
-            table.row(vec![
-                f.to_string(),
-                components.to_string(),
-                format!("{:.4}", drop_report.delivery_rate()),
-                format!("{:.4}", reroute_report.delivery_rate()),
-                format!("{mean_stretch:.4}"),
-            ]);
-        }
-        println!("{table}");
-    }
+    println!("E8: fault tolerance of DN(d,k), 3000 random messages per row\n");
+    println!("{}", debruijn_bench::experiments::fault_tolerance());
     println!("Below d faults: one component, rerouting delivers everything whose");
     println!("endpoints survive, and detours cost only a few percent extra hops.");
-}
-
-fn expected_reroute_rate(traffic: &[debruijn_net::Injection], faults: &[Word]) -> f64 {
-    let ok = traffic
-        .iter()
-        .filter(|inj| !faults.contains(&inj.source) && !faults.contains(&inj.destination))
-        .count();
-    ok as f64 / traffic.len() as f64
 }

@@ -1,66 +1,12 @@
 //! E6 — end-to-end routing in the simulated network.
 //!
 //! Runs all-pairs traffic through the simulator under every routing
-//! strategy and compares the measured mean hop counts with the analytic
-//! averages (exact directed/undirected; Eq. (5) shown for reference).
-
-use debruijn_analysis::{average, Table};
-use debruijn_core::{directed_average_distance, DeBruijn};
-use debruijn_net::{workload, RouterKind, SimConfig, Simulation};
+//! strategy and compares the measured mean hop counts with the exact
+//! analytic averages (see `debruijn_bench::experiments`).
 
 fn main() {
     println!("E6: simulated mean hops vs analytic averages (all-pairs traffic)\n");
-    for &(d, k) in &[(2u8, 6usize), (3, 4), (4, 3)] {
-        let space = DeBruijn::new(d, k).expect("valid parameters");
-        let n = space.order_usize().expect("enumerable") as f64;
-        let traffic = workload::all_pairs(space);
-        // The analytic averages include the N self-pairs (distance 0);
-        // the simulated traffic excludes them — rescale for comparison.
-        let rescale = n * n / (n * n - n);
-        println!(
-            "DN({d},{k}): {} messages; Eq.(5) ~ {:.4} (incl. self-pairs)",
-            traffic.len(),
-            directed_average_distance(d, k),
-        );
-        let exact_dir = average::exact_directed(space) * rescale;
-        let exact_und = average::exact_undirected(space) * rescale;
-        let mut table = Table::new(
-            ["router", "mean hops", "analytic", "max hops", "delivered"]
-                .map(String::from)
-                .to_vec(),
-        );
-        for router in RouterKind::all() {
-            let sim = Simulation::new(
-                space,
-                SimConfig {
-                    router,
-                    ..SimConfig::default()
-                },
-            )
-            .expect("config is valid");
-            let report = sim.run(&traffic);
-            let analytic = match router {
-                RouterKind::Trivial => k as f64,
-                RouterKind::Algorithm1 => exact_dir,
-                RouterKind::Algorithm2 | RouterKind::Algorithm4 | RouterKind::Multipath => {
-                    exact_und
-                }
-            };
-            assert!(
-                (report.mean_hops() - analytic).abs() < 1e-9,
-                "simulated hops diverge from analytic for {}",
-                router.name()
-            );
-            table.row(vec![
-                router.name().to_string(),
-                format!("{:.4}", report.mean_hops()),
-                format!("{analytic:.4}"),
-                report.max_hops().to_string(),
-                report.delivered.to_string(),
-            ]);
-        }
-        println!("{table}");
-    }
+    println!("{}", debruijn_bench::experiments::simulation_hops());
     println!("Measured = analytic to machine precision: the simulator executes the");
     println!("routing-path field exactly as §3 specifies, and optimal routing beats");
     println!("the trivial k-hop strategy by k - δ̄ hops on average.");

@@ -3,102 +3,16 @@
 //! Shortest routes carry `(a,*)` steps whose digit the forwarding node
 //! may choose freely. This experiment drives permutation and hotspot
 //! traffic through DN(2,7) under each wildcard policy and reports the
-//! link-load distribution and latency. Hop counts are identical across
+//! link-load distribution and latency (see
+//! `debruijn_bench::experiments`). Hop counts are identical across
 //! policies by construction — only the load spread moves.
-
-use debruijn_analysis::Table;
-use debruijn_core::DeBruijn;
-use debruijn_net::{workload, Injection, RouterKind, SimConfig, Simulation, WildcardPolicy};
-
-fn run_workload(name: &str, space: DeBruijn, traffic: &[Injection]) {
-    println!("workload: {name} ({} messages)", traffic.len());
-    let mut table = Table::new(
-        [
-            "policy",
-            "max load",
-            "load std",
-            "mean latency",
-            "max latency",
-            "makespan",
-        ]
-        .map(String::from)
-        .to_vec(),
-    );
-    let mut first_hops: Option<u64> = None;
-    for policy in WildcardPolicy::all() {
-        let sim = Simulation::new(
-            space,
-            SimConfig {
-                router: RouterKind::Algorithm2,
-                policy,
-                ..SimConfig::default()
-            },
-        )
-        .expect("config is valid");
-        let report = sim.run(traffic);
-        assert_eq!(report.delivered, traffic.len());
-        match first_hops {
-            None => first_hops = Some(report.total_hops),
-            Some(h) => assert_eq!(h, report.total_hops, "policies must not change hops"),
-        }
-        let loads = report.link_load_summary();
-        table.row(vec![
-            policy.name().to_string(),
-            loads.max.to_string(),
-            format!("{:.3}", loads.std_dev),
-            format!("{:.3}", report.mean_latency()),
-            report.latency_max.to_string(),
-            report.makespan.to_string(),
-        ]);
-    }
-    // Path diversity on top of wildcards: sample among ALL shortest routes.
-    let sim = Simulation::new(
-        space,
-        SimConfig {
-            router: RouterKind::Multipath,
-            policy: WildcardPolicy::Random,
-            ..SimConfig::default()
-        },
-    )
-    .expect("config is valid");
-    let report = sim.run(traffic);
-    assert_eq!(report.delivered, traffic.len());
-    if let Some(h) = first_hops {
-        assert_eq!(h, report.total_hops, "multipath routes are still shortest");
-    }
-    let loads = report.link_load_summary();
-    table.row(vec![
-        "multipath+random".to_string(),
-        loads.max.to_string(),
-        format!("{:.3}", loads.std_dev),
-        format!("{:.3}", report.mean_latency()),
-        report.latency_max.to_string(),
-        report.makespan.to_string(),
-    ]);
-    println!("{table}");
-}
 
 fn main() {
     println!("E7: wildcard-resolution policies and traffic balance\n");
-    let space = DeBruijn::new(2, 7).expect("valid parameters");
-
-    // Bursty permutation traffic (everything at t = 0) stresses queues.
-    let perm: Vec<Injection> = (0..40)
-        .flat_map(|round| {
-            workload::permutation(space, round)
-                .into_iter()
-                .map(move |mut inj| {
-                    inj.time = round * 4;
-                    inj
-                })
-        })
-        .collect();
-    run_workload("40 bursty permutation rounds", space, &perm);
-
-    let hot = space.word_from_rank(85).expect("rank in range");
-    let hotspot = workload::hotspot(space, 8_000, &hot, 0.4, 0xE7);
-    run_workload("hotspot (40% to one node)", space, &hotspot);
-
+    println!(
+        "permutation: 40 bursty permutation rounds; hotspot: 40% of 8000 messages to one node"
+    );
+    println!("{}", debruijn_bench::experiments::wildcard_balancing());
     println!("Under bursty permutation traffic the balancing policies flatten the");
     println!("load (lower std and max) and shave latency, as §3 anticipates. Under");
     println!("hotspot traffic the bottleneck is the destination's own in-links,");

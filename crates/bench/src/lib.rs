@@ -1,6 +1,9 @@
 //! Shared helpers for the benchmark and experiment binaries that
 //! regenerate the paper's tables (E1–E11): deterministic input
-//! generation and a median-of-batches wall-clock timer.
+//! generation and a median-of-batches wall-clock timer — plus the
+//! [`experiments`] whose tables are pinned as data.
+
+pub mod experiments;
 
 use debruijn_core::rng::SplitMix64;
 use debruijn_core::Word;
