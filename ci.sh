@@ -98,7 +98,7 @@ echo "== flight recorder round-trip smoke =="
 # must parse through the offline trace toolkit with a per-reason drop
 # breakdown.
 ./target/release/dbr simulate 2 6 --messages 400 --router alg2 \
-    --faults 000000 --flight-recorder "$smoke_dir/flight.jsonl" \
+    --workload burst --faults 000000 --flight-recorder "$smoke_dir/flight.jsonl" \
     > "$smoke_dir/flight.txt"
 grep -qF "flight recorder: " "$smoke_dir/flight.txt"
 grep -qF "window dumped to" "$smoke_dir/flight.txt"

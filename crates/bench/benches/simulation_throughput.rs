@@ -1,5 +1,7 @@
-//! Timing of the discrete-event simulator itself, including the cost
-//! of the metrics registry and of serving live scrapes.
+//! Timing of the simulation engine on one shard and one thread: the
+//! default configuration (on the dense next-hop table), the
+//! least-loaded policy (on source routes), and the cost of the metrics
+//! registry and of serving live scrapes.
 //!
 //! With `--json`, prints one machine-readable line (see
 //! [`debruijn_bench::JsonReport`]) instead of the table; `bench.sh`
@@ -14,7 +16,7 @@ use debruijn_core::DeBruijn;
 use debruijn_net::metrics::{
     register_core_profile, MetricsRegistry, RegistryRecorder, ScrapeServer,
 };
-use debruijn_net::{workload, RouterKind, SimConfig, Simulation, WildcardPolicy};
+use debruijn_net::{workload, RouterKind, ShardedSimulation, SimConfig, WildcardPolicy};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -44,12 +46,13 @@ fn main() {
     let space = DeBruijn::new(2, 8).unwrap();
     for msgs in [1_000usize, 10_000] {
         let traffic = workload::uniform_random(space, msgs, 42);
-        let a2_sim = Simulation::new(
+        let a2_sim = ShardedSimulation::new(
             space,
             SimConfig {
                 router: RouterKind::Algorithm2,
                 ..SimConfig::default()
             },
+            1,
         )
         .unwrap();
         let a2 = median_nanos_per_call(
@@ -59,13 +62,14 @@ fn main() {
             1,
             5,
         ) / msgs as f64;
-        let ll_sim = Simulation::new(
+        let ll_sim = ShardedSimulation::new(
             space,
             SimConfig {
                 router: RouterKind::Algorithm2,
                 policy: WildcardPolicy::LeastLoaded,
                 ..SimConfig::default()
             },
+            1,
         )
         .unwrap();
         let ll = median_nanos_per_call(
@@ -93,12 +97,13 @@ fn main() {
     // busy host is itself several percent).
     let msgs = 10_000usize;
     let traffic = workload::uniform_random(space, msgs, 42);
-    let sim = Simulation::new(
+    let sim = ShardedSimulation::new(
         space,
         SimConfig {
             router: RouterKind::Algorithm2,
             ..SimConfig::default()
         },
+        1,
     )
     .unwrap();
 
@@ -146,8 +151,8 @@ fn main() {
              {steal:.1} ns/message ({overhead_pct:+.2}% scrape overhead)",
             scrape_ns / 1e3
         );
-        println!("\nCost per message is flat in workload size: the event loop is");
-        println!("O(hops x log queue) with no per-run global scans.");
+        println!("\nCost per message is flat in workload size: each hop is a table");
+        println!("lookup or one popped route step, with no per-run global scans.");
     }
 
     if let Some(limit) = overhead_limit {

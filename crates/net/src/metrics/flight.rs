@@ -643,8 +643,8 @@ mod tests {
             queue_wait_limit: None,
         };
         let mut flight = FlightRecorder::new(256, triggers);
-        let sim = crate::shard::ShardedSimulation::new(space, crate::sim::SimConfig::default(), 4)
-            .unwrap();
+        let sim =
+            crate::shard::ShardedSimulation::new(space, crate::SimConfig::default(), 4).unwrap();
         let report = sim.run_recorded(&traffic, &mut flight);
         assert_eq!(report.delivered, 3000, "healthy network delivers");
         match flight.anomaly() {
@@ -670,7 +670,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("dbr-flight-zipf-{}.jsonl", std::process::id()));
         let mut flight = FlightRecorder::new(128, only_drop_burst(8, 128)).with_dump_path(&path);
-        let sim = crate::shard::ShardedSimulation::new(space, crate::sim::SimConfig::default(), 4)
+        let sim = crate::shard::ShardedSimulation::new(space, crate::SimConfig::default(), 4)
             .unwrap()
             .with_faults(vec![hot])
             .unwrap();

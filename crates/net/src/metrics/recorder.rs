@@ -294,8 +294,8 @@ pub fn replay_sharded(threads: usize, events: &[NetEvent]) -> MetricsSnapshot {
 mod tests {
     use super::*;
     use crate::record::InMemoryRecorder;
-    use crate::sim::{SimConfig, Simulation};
     use crate::workload;
+    use crate::{ShardedSimulation, SimConfig};
     use debruijn_core::DeBruijn;
 
     fn recorded_events(messages: usize, seed: u64) -> Vec<NetEvent> {
@@ -306,7 +306,7 @@ mod tests {
             }
         }
         let space = DeBruijn::new(2, 5).unwrap();
-        let sim = Simulation::new(space, SimConfig::default()).unwrap();
+        let sim = ShardedSimulation::new(space, SimConfig::default(), 1).unwrap();
         let traffic = workload::uniform_random(space, messages, seed);
         let mut capture = Capture(Vec::new());
         sim.run_recorded(&traffic, &mut capture);

@@ -942,7 +942,7 @@ mod tests {
     /// directed balls under Algorithm 1, undirected under Algorithm 2.
     #[test]
     fn sharded_sim_fault_sweep_localizes_every_node_dg26() {
-        use crate::sim::{Injection, SimConfig};
+        use crate::{Injection, SimConfig};
         let space = DeBruijn::new(2, 6).unwrap();
         for (router, graph) in [
             (crate::RouterKind::Algorithm1, directed(2, 6)),

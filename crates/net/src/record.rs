@@ -42,7 +42,9 @@ pub enum DropReason {
     NoRoute,
     /// The message arrived at a faulty node.
     FaultyNode,
-    /// The message was handed to a dead link.
+    /// The message was handed to a dead link. The engine models node
+    /// faults only; the reason stays so recorded traces that carry it
+    /// still parse.
     DeadLink,
     /// The message exhausted its hop budget
     /// ([`SimConfig::ttl`](crate::SimConfig::ttl)) before arriving.
@@ -406,10 +408,10 @@ impl Recorder for FanoutRecorder<'_> {
 /// ```
 /// use debruijn_core::DeBruijn;
 /// use debruijn_net::record::InMemoryRecorder;
-/// use debruijn_net::{workload, SimConfig, Simulation};
+/// use debruijn_net::{workload, ShardedSimulation, SimConfig};
 ///
 /// let space = DeBruijn::new(2, 4)?;
-/// let sim = Simulation::new(space, SimConfig::default())?;
+/// let sim = ShardedSimulation::new(space, SimConfig::default(), 1)?;
 /// let traffic = workload::uniform_random(space, 100, 1);
 /// let mut metrics = InMemoryRecorder::new();
 /// let report = sim.run_recorded(&traffic, &mut metrics);
@@ -594,10 +596,10 @@ impl fmt::Display for InMemoryRecorder {
 /// ```
 /// use debruijn_core::DeBruijn;
 /// use debruijn_net::record::{parse_event, JsonlRecorder};
-/// use debruijn_net::{workload, SimConfig, Simulation};
+/// use debruijn_net::{workload, ShardedSimulation, SimConfig};
 ///
 /// let space = DeBruijn::new(2, 4)?;
-/// let sim = Simulation::new(space, SimConfig::default())?;
+/// let sim = ShardedSimulation::new(space, SimConfig::default(), 1)?;
 /// let traffic = workload::uniform_random(space, 10, 1);
 /// let mut sink = JsonlRecorder::new(Vec::new());
 /// sim.run_recorded(&traffic, &mut sink);

@@ -147,7 +147,7 @@ impl fmt::Display for Histogram {
 
 /// Aggregate result of one simulation run.
 ///
-/// Produced by [`crate::Simulation::run`]. All times are in simulator
+/// Produced by [`crate::ShardedSimulation::run`]. All times are in simulator
 /// ticks; link keys are `(from_rank, to_rank)` word ranks.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SimReport {

@@ -31,10 +31,10 @@ use crate::record::{NetEvent, Recorder};
 /// ```
 /// use debruijn_core::DeBruijn;
 /// use debruijn_net::telemetry::ChromeTraceRecorder;
-/// use debruijn_net::{workload, SimConfig, Simulation};
+/// use debruijn_net::{workload, ShardedSimulation, SimConfig};
 ///
 /// let space = DeBruijn::new(2, 4)?;
-/// let sim = Simulation::new(space, SimConfig::default())?;
+/// let sim = ShardedSimulation::new(space, SimConfig::default(), 1)?;
 /// let traffic = workload::uniform_random(space, 20, 1);
 /// let mut chrome = ChromeTraceRecorder::new(Vec::new());
 /// sim.run_recorded(&traffic, &mut chrome);

@@ -54,10 +54,10 @@ use crate::record::{NetEvent, Recorder};
 /// ```
 /// use debruijn_core::DeBruijn;
 /// use debruijn_net::telemetry::Telemetry;
-/// use debruijn_net::{workload, SimConfig, Simulation};
+/// use debruijn_net::{workload, ShardedSimulation, SimConfig};
 ///
 /// let space = DeBruijn::new(2, 5)?;
-/// let sim = Simulation::new(space, SimConfig::default())?;
+/// let sim = ShardedSimulation::new(space, SimConfig::default(), 1)?;
 /// let traffic = workload::uniform_random(space, 500, 3);
 /// let mut t = Telemetry::new();
 /// let report = sim.run_recorded(&traffic, &mut t);
@@ -313,7 +313,7 @@ impl fmt::Display for Telemetry {
 mod tests {
     use super::*;
     use crate::record::DropReason;
-    use crate::{workload, SimConfig, Simulation, WildcardPolicy};
+    use crate::{workload, ShardedSimulation, SimConfig, WildcardPolicy};
     use debruijn_core::{DeBruijn, ShiftKind, Word};
 
     fn w(s: &str) -> Word {
@@ -402,7 +402,7 @@ mod tests {
     #[test]
     fn agrees_with_the_exact_recorder_on_a_real_run() {
         let space = DeBruijn::new(2, 6).unwrap();
-        let sim = Simulation::new(space, SimConfig::default()).unwrap();
+        let sim = ShardedSimulation::new(space, SimConfig::default(), 1).unwrap();
         let traffic = workload::uniform_random(space, 2_000, 7);
         let mut exact = crate::record::InMemoryRecorder::new();
         let mut bounded = Telemetry::new();

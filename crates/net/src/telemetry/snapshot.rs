@@ -25,10 +25,10 @@ use crate::telemetry::Telemetry;
 /// ```
 /// use debruijn_core::DeBruijn;
 /// use debruijn_net::telemetry::SnapshotRecorder;
-/// use debruijn_net::{workload, SimConfig, Simulation};
+/// use debruijn_net::{workload, ShardedSimulation, SimConfig};
 ///
 /// let space = DeBruijn::new(2, 5)?;
-/// let sim = Simulation::new(space, SimConfig::default())?;
+/// let sim = ShardedSimulation::new(space, SimConfig::default(), 1)?;
 /// let traffic = workload::uniform_random(space, 400, 3);
 /// let mut snap = SnapshotRecorder::new(50, Vec::new());
 /// sim.run_recorded(&traffic, &mut snap);

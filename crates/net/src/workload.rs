@@ -3,7 +3,7 @@
 use debruijn_core::rng::SplitMix64;
 use debruijn_core::{DeBruijn, Word};
 
-use crate::sim::Injection;
+use crate::config::Injection;
 
 fn word_at(space: DeBruijn, rank: usize) -> Word {
     space

@@ -9,7 +9,7 @@
 use debruijn_suite::analysis::Table;
 use debruijn_suite::core::{DeBruijn, Word};
 use debruijn_suite::graph::{connectivity, DebruijnGraph};
-use debruijn_suite::net::{workload, FaultHandling, SimConfig, Simulation};
+use debruijn_suite::net::{workload, FaultHandling, NextHopMode, ShardedSimulation, SimConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let space = DeBruijn::new(3, 4)?;
@@ -48,7 +48,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 fault_handling: handling,
                 ..SimConfig::default()
             };
-            let sim = Simulation::new(space, config)?.with_faults(faults.clone())?;
+            // Both handlings forward along source routes.
+            let sim = ShardedSimulation::new(space, config, 1)?
+                .with_next_hop(NextHopMode::Fallback)?
+                .with_faults(faults.clone())?;
             let report = sim.run(&traffic);
             table.row(vec![
                 format!("{n_faults} ({} comp.)", components),

@@ -31,7 +31,7 @@ use debruijn_suite::net::metrics::{
     ScrapeServer,
 };
 use debruijn_suite::net::record::FanoutRecorder;
-use debruijn_suite::net::{workload, RouterKind, SimConfig, Simulation};
+use debruijn_suite::net::{workload, RouterKind, ShardedSimulation, SimConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // DN(2,6): 64 processors, one of them down.
@@ -41,8 +41,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..SimConfig::default()
     };
     let faulty = Word::parse(2, "000000")?;
-    let sim = Simulation::new(space, config)?.with_faults(vec![faulty])?;
-    let traffic = workload::uniform_random(space, 3_000, 7);
+    let sim = ShardedSimulation::new(space, config, 1)?.with_faults(vec![faulty])?;
+    // One burst at tick 0: the faulty node's own messages drop together.
+    let traffic = workload::uniform_burst(space, 3_000, 7);
 
     // The registry is shared: the recorder writes into it from the
     // simulation thread, the scrape server reads it from its accept
@@ -57,8 +58,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Default triggers: 8 drops (or 4 routing failures) inside 128
     // ticks, queue depth >= 1024, queue wait >= 4096. The faulty node
-    // drops every message injected at it, so the drop burst fires
-    // within the first tick of the run.
+    // drops every message injected at it, so the drop burst fires at
+    // tick 0.
     let dump = std::env::temp_dir().join("live_metrics_flight.jsonl");
     let mut flight = FlightRecorder::new(4096, AnomalyTriggers::default()).with_dump_path(&dump);
 

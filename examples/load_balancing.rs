@@ -9,7 +9,9 @@
 
 use debruijn_suite::analysis::Table;
 use debruijn_suite::core::DeBruijn;
-use debruijn_suite::net::{workload, RouterKind, SimConfig, Simulation, WildcardPolicy};
+use debruijn_suite::net::{
+    workload, NextHopMode, RouterKind, ShardedSimulation, SimConfig, WildcardPolicy,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let space = DeBruijn::new(2, 7)?; // 128 nodes
@@ -34,7 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             policy,
             ..SimConfig::default()
         };
-        let sim = Simulation::new(space, config)?;
+        // Every row forwards along source routes, so the zero policy is
+        // compared on the same tier as the others.
+        let sim = ShardedSimulation::new(space, config, 1)?.with_next_hop(NextHopMode::Fallback)?;
         let report = sim.run(&traffic);
         assert_eq!(report.delivered, traffic.len());
         let loads = report.link_load_summary();

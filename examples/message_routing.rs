@@ -5,7 +5,7 @@
 
 use debruijn_suite::analysis::Table;
 use debruijn_suite::core::{directed_average_distance, DeBruijn};
-use debruijn_suite::net::{workload, RouterKind, SimConfig, Simulation};
+use debruijn_suite::net::{workload, NextHopMode, RouterKind, ShardedSimulation, SimConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let space = DeBruijn::new(2, 8)?; // 256 nodes, diameter 8
@@ -28,13 +28,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .to_vec(),
     );
     for router in RouterKind::all() {
-        let sim = Simulation::new(
+        // Every router's rows run on source routes, the optimal ones too.
+        let sim = ShardedSimulation::new(
             space,
             SimConfig {
                 router,
                 ..SimConfig::default()
             },
-        )?;
+            1,
+        )?
+        .with_next_hop(NextHopMode::Fallback)?;
         let report = sim.run(&traffic);
         assert_eq!(report.delivered, traffic.len());
         table.row(vec![

@@ -20,7 +20,7 @@
 use debruijn_suite::core::{distance, profile, DeBruijn};
 use debruijn_suite::net::record::{parse_event, FanoutRecorder, JsonlRecorder};
 use debruijn_suite::net::{
-    workload, InMemoryRecorder, NetEvent, RouterKind, SimConfig, Simulation, WildcardPolicy,
+    workload, InMemoryRecorder, NetEvent, RouterKind, ShardedSimulation, SimConfig, WildcardPolicy,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         policy: WildcardPolicy::LeastLoaded,
         ..SimConfig::default()
     };
-    let sim = Simulation::new(space, config)?;
+    let sim = ShardedSimulation::new(space, config, 1)?;
     let traffic = workload::uniform_random(space, 2_000, 42);
 
     // One run, three consumers: histograms, a JSONL stream, and the

@@ -9,7 +9,7 @@
 //! Run with `cargo run --example path_diversity`.
 
 use debruijn_suite::core::{routing, DeBruijn, Word};
-use debruijn_suite::net::{Injection, RouterKind, SimConfig, Simulation};
+use debruijn_suite::net::{Injection, NextHopMode, RouterKind, ShardedSimulation, SimConfig};
 
 fn show_routes(x: &Word, y: &Word) {
     let routes = routing::all_shortest_routes(x, y);
@@ -46,13 +46,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
     for router in [RouterKind::Algorithm2, RouterKind::Multipath] {
-        let sim = Simulation::new(
+        let sim = ShardedSimulation::new(
             space,
             SimConfig {
                 router,
                 ..SimConfig::default()
             },
-        )?;
+            1,
+        )?
+        .with_next_hop(NextHopMode::Fallback)?;
         let report = sim.run(&flow);
         let loads = report.link_load_summary();
         println!(

@@ -1,16 +1,16 @@
-//! Request/reply round trips: exercising the message control codes.
+//! Request/reply round trips over source-routed messages.
 //!
-//! The paper's five-field format reserves a control-code field. This
-//! example models a probe/acknowledge exchange: a monitor node probes
-//! every other node, each probed node answers with an Ack along the
-//! optimal reverse route, and the round-trip times fall out of the
-//! simulator's latency accounting.
+//! This example models a probe/acknowledge exchange: a monitor node
+//! probes every other node, each probed node answers along the optimal
+//! reverse route, and the round-trip times fall out of the simulator's
+//! latency accounting. Every message carries the paper's routing-path
+//! field, whose wire form `RoutePath::encode` produces.
 //!
 //! Run with `cargo run --example request_reply`.
 
 use debruijn_suite::analysis::Table;
-use debruijn_suite::core::{DeBruijn, Word};
-use debruijn_suite::net::{ControlCode, Injection, Message, RouterKind, SimConfig, Simulation};
+use debruijn_suite::core::{DeBruijn, RoutePath, Word};
+use debruijn_suite::net::{Injection, NextHopMode, RouterKind, ShardedSimulation, SimConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let space = DeBruijn::new(2, 6)?;
@@ -28,27 +28,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             destination: v,
         })
         .collect();
-    let sim = Simulation::new(
+    let sim = ShardedSimulation::new(
         space,
         SimConfig {
             router: RouterKind::Algorithm4,
             ..SimConfig::default()
         },
-    )?;
+        1,
+    )?
+    .with_next_hop(NextHopMode::Fallback)?;
     let out_report = sim.run(&probes);
     assert_eq!(out_report.delivered, probes.len());
 
-    // The control codes travel in the message struct; show one.
-    let example = Message {
-        control: ControlCode::Probe,
-        source: monitor.clone(),
-        destination: space.word_from_rank(42)?,
-        route: RouterKind::Algorithm4.route(&monitor, &space.word_from_rank(42)?),
-        payload: b"are-you-alive".to_vec(),
-    };
+    // The routing-path field one probe carries, and its wire form.
+    let target = space.word_from_rank(42)?;
+    let route = RouterKind::Algorithm4.route(&monitor, &target);
+    let wire = route.encode(space.d());
+    assert_eq!(RoutePath::decode(space.d(), &wire)?, route);
     println!(
-        "example probe: {:?} {} -> {} via {}",
-        example.control, example.source, example.destination, example.route
+        "example probe: {monitor} -> {target} via {route} ({} wire bytes)",
+        wire.len()
     );
 
     // Phase 2: acks back, each injected when its probe would have

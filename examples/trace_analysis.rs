@@ -21,7 +21,9 @@
 use debruijn_suite::core::DeBruijn;
 use debruijn_suite::net::record::JsonlRecorder;
 use debruijn_suite::net::telemetry::LogHistogram;
-use debruijn_suite::net::{workload, Recorder, RouterKind, SimConfig, Simulation, Telemetry};
+use debruijn_suite::net::{
+    workload, Recorder, RouterKind, ShardedSimulation, SimConfig, Telemetry,
+};
 use debruijn_suite::trace::{self, TraceMetric};
 
 fn run_trace(router: RouterKind, messages: usize) -> Result<String, Box<dyn std::error::Error>> {
@@ -30,7 +32,7 @@ fn run_trace(router: RouterKind, messages: usize) -> Result<String, Box<dyn std:
         router,
         ..SimConfig::default()
     };
-    let sim = Simulation::new(space, config)?;
+    let sim = ShardedSimulation::new(space, config, 1)?;
     let traffic = workload::uniform_random(space, messages, 42);
     let mut sink = JsonlRecorder::new(Vec::new());
     sim.run_recorded(&traffic, &mut sink);

@@ -76,7 +76,7 @@ USAGE:
   dbr average <d> <k> [--directed] [--samples N]
   dbr simulate <d> <k> [--messages N] [--router trivial|alg1|alg2|alg4]
                        [--policy zero|random|round-robin|least-loaded] [--seed S]
-                       [--threads N] [--shards S] [--route-cache N]
+                       [--threads N] [--shards S]
                        [--metrics] [--trace FILE] [--progress N]
                        [--chrome-trace FILE] [--listen ADDR]
                        [--metrics-out FILE] [--flight-recorder FILE]
@@ -125,19 +125,20 @@ one \"X Y\" pair per line (`-` = stdin, `#` comments ok) and prints
 one result per line;
 --threads N fans the batch (or the simulator's route precomputation)
 out over N workers (0 = all cores) with results merged in input order,
-byte-identical to --threads 1. --route-cache N bounds the simulator's
-(source, destination) route cache (clock eviction, 0 disables).
---shards S switches `simulate` to the sharded deterministic engine:
-nodes are split into S partitions stepped in parallel (--threads) with
-O(1) next-hop forwarding, and the report, trace, and metrics are
-identical for every shards/threads combination (only the optimal
-routers alg1/alg2/alg4 and drop-on-fault are supported; see
-docs/SCALING.md). --next-hop picks the sharded engine's forwarding
-tier: auto (default) uses the dense precomputed table when it fits the
-memory cap and the O(1)-memory compressed shift-prediction cursor
-beyond it (so DG(2,20)'s million nodes simulate without a table);
-dense/compressed force a tier, fallback selects the word-level
-routers. dense and compressed produce byte-identical reports.
+byte-identical to --threads 1.
+--shards S splits the simulated nodes into S partitions (default 1)
+stepped in parallel by the --threads workers; the report, trace, and
+metrics are identical for every shards/threads combination (see
+docs/SCALING.md). --next-hop picks the forwarding tier: auto (default)
+runs alg1/alg2/alg4 under the zero policy on the dense precomputed
+next-hop table when it fits the memory cap and on the O(1)-memory
+compressed shift-prediction cursor beyond it (so DG(2,20)'s million
+nodes simulate without a table), and every other router or policy on
+the fallback tier. dense/compressed force a next-hop tier (an error
+for those other configurations) and produce byte-identical reports;
+fallback forces §3 source routing: each message carries the route its
+source computed, and each hop pops one step and resolves any wildcard
+digit with --policy.
 --workload picks the traffic pattern: uniform (one message per tick,
 default), burst (all at tick 0), or zipf[:EXP] (tick-0 burst with
 power-law destination skew, default exponent 1.0).
@@ -156,8 +157,8 @@ docs/OBSERVABILITY.md \"Profiling the engine\".
 
 --metrics prints exact histograms (hops, stretch over D(X,Y), per-hop
 latency, queue wait/depth, end-to-end latency) and counters (wildcard
-resolutions per policy and digit, drops by reason, distance-engine,
-route-cache and convergecast profile); --trace FILE streams every event as JSON lines
+resolutions per policy and digit, drops by reason, distance-engine
+and convergecast profile); --trace FILE streams every event as JSON lines
 that every `dbr trace` command can analyse offline (they infer the
 radix from the file; pass --radix D to override); --progress N prints
 an in-flight snapshot to stderr every N ticks; --chrome-trace FILE

@@ -49,12 +49,12 @@ fn parses_engine_threads_and_batch_flags() {
     assert!(parse_line("distance 2 01 10 --batch pairs.txt").is_err());
     assert!(parse_line("distance 2").is_err());
     assert!(parse_line("distance 2 01 10 --engine quantum").is_err());
-    let cmd = parse_line("simulate 2 6 --threads 4 --route-cache 0").unwrap();
+    let cmd = parse_line("simulate 2 6 --threads 4").unwrap();
     assert!(matches!(
         cmd,
         Command::Simulate(Simulate {
             sim: SimArgs { threads: 4, .. },
-            route_cache: 0,
+            shards: 1,
             ..
         })
     ));

@@ -15,7 +15,7 @@ use debruijn_net::record::{FanoutRecorder, InMemoryRecorder, JsonlRecorder};
 use debruijn_net::telemetry::{ChromeTraceRecorder, SnapshotRecorder};
 use debruijn_net::{
     workload, Injection, NetEvent, NextHopMode, Placement, ProfileConfig, Recorder, RouterKind,
-    ShardedSimulation, SimConfig, SimReport, Simulation, WildcardPolicy,
+    ShardedSimulation, SimConfig, SimReport, WildcardPolicy,
 };
 
 use super::args::{number, Args};
@@ -38,10 +38,9 @@ pub struct SimArgs {
     pub policy: WildcardPolicy,
     /// RNG seed (also feeds `profile`'s span sampler).
     pub seed: u64,
-    /// Worker threads for the route-precompute pass (classic engine) or
-    /// the per-tick shard workers (sharded engine).
+    /// Worker threads stepping the shards (and computing source routes).
     pub threads: usize,
-    /// Forwarding tier for the sharded engine (`--next-hop`).
+    /// Forwarding tier (`--next-hop`).
     pub next_hop: NextHopMode,
     /// Traffic pattern (`--workload`).
     pub workload: WorkloadKind,
@@ -58,11 +57,8 @@ pub struct SimArgs {
 pub struct Simulate {
     /// The network, traffic and faults.
     pub sim: SimArgs,
-    /// Run the sharded deterministic engine with this many node
-    /// partitions (`None` = classic event-driven engine).
-    pub shards: Option<usize>,
-    /// Route-cache capacity (0 disables).
-    pub route_cache: usize,
+    /// Node partitions the engine steps in parallel.
+    pub shards: usize,
     /// Print per-hop/queue histograms and wildcard/profile counters.
     pub metrics: bool,
     /// Write every simulation event to this file as JSON lines.
@@ -95,10 +91,9 @@ pub struct Simulate {
 /// breakdown, per-shard imbalance, and top-k critical paths.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
-    /// The network, traffic and faults (optimal routers only, as for
-    /// `simulate --shards`).
+    /// The network, traffic and faults.
     pub sim: SimArgs,
-    /// Node partitions (the profiled engine is always sharded).
+    /// Node partitions.
     pub shards: usize,
     /// Causal-tracing rate: tag ~1/N messages (0 disables spans).
     pub sample: u32,
@@ -153,12 +148,6 @@ impl WorkloadKind {
     }
 }
 
-/// The engine a [`SimArgs::build`] set up.
-enum SimEngine {
-    Classic(Simulation),
-    Sharded(ShardedSimulation),
-}
-
 impl SimArgs {
     /// Splits the arguments of `dbr <cmd> <d> <k> …` and reads the
     /// shared settings.
@@ -183,21 +172,18 @@ impl SimArgs {
         Ok((sim, args))
     }
 
-    /// Builds the network, its engine and its traffic: the sharded
-    /// engine over `shards` partitions, or the classic event-driven one
-    /// for `None`.
+    /// Builds the network, its engine over `shards` partitions, and its
+    /// traffic.
     fn build(
         &self,
-        shards: Option<usize>,
-        route_cache: usize,
-    ) -> Result<(DeBruijn, SimEngine, Vec<Injection>), String> {
+        shards: usize,
+    ) -> Result<(DeBruijn, ShardedSimulation, Vec<Injection>), String> {
         let space = space_of(self.d, self.k)?;
         let config = SimConfig {
             router: self.router,
             policy: self.policy,
             seed: self.seed,
             threads: self.threads,
-            route_cache,
             ttl: self.ttl,
             ..SimConfig::default()
         };
@@ -213,22 +199,10 @@ impl SimArgs {
             })
             .transpose()?
             .unwrap_or_default();
-        let engine = match shards {
-            Some(s) => SimEngine::Sharded(
-                ShardedSimulation::new(space, config, s)
-                    .and_then(|sim| sim.with_next_hop(self.next_hop))
-                    .and_then(|sim| sim.with_faults(faults))
-                    .map_err(|e| e.to_string())?,
-            ),
-            None if self.next_hop != NextHopMode::Auto => {
-                return Err("--next-hop requires the sharded engine (--shards)".into())
-            }
-            None => SimEngine::Classic(
-                Simulation::new(space, config)
-                    .and_then(|sim| sim.with_faults(faults))
-                    .map_err(|e| e.to_string())?,
-            ),
-        };
+        let engine = ShardedSimulation::new(space, config, shards)
+            .and_then(|sim| sim.with_next_hop(self.next_hop))
+            .and_then(|sim| sim.with_faults(faults))
+            .map_err(|e| e.to_string())?;
         let (n, seed) = (self.messages, self.seed);
         let traffic = match self.workload {
             WorkloadKind::Uniform => workload::uniform_random(space, n, seed),
@@ -244,10 +218,7 @@ impl Simulate {
         let (sim, args) = SimArgs::parse("simulate", rest)?;
         Ok(Self {
             sim,
-            shards: args.positive("--shards")?,
-            route_cache: args
-                .num("--route-cache")?
-                .unwrap_or(SimConfig::default().route_cache),
+            shards: args.positive("--shards")?.unwrap_or(1),
             metrics: args.switch("--metrics"),
             trace: args.string("--trace"),
             progress: args.parsed("--progress", |v| match v.parse::<u64>() {
@@ -268,7 +239,7 @@ impl Simulate {
     /// report is printed and the scrape server then serves until the
     /// process is killed.
     pub fn run(&self) -> Result<String, String> {
-        let (space, engine, traffic) = self.sim.build(self.shards, self.route_cache)?;
+        let (space, sim, traffic) = self.sim.build(self.shards)?;
 
         // One registry backs both exposure paths: the HTTP scrape
         // server (--listen) and the periodic file snapshot
@@ -334,10 +305,7 @@ impl Simulate {
             fan.push(&mut metrics_file);
             fan.push(&mut flight);
             fan.push(&mut monitor_set);
-            match &engine {
-                SimEngine::Classic(sim) => sim.run_recorded(&traffic, &mut fan),
-                SimEngine::Sharded(sim) => sim.run_recorded(&traffic, &mut fan),
-            }
+            sim.run_recorded(&traffic, &mut fan)
         };
         if let Some(s) = snapshots {
             s.finish().map_err(|e| format!("writing snapshots: {e}"))?;
@@ -364,18 +332,6 @@ impl Simulate {
                 profile_used.auto_to_suffix_tree, profile_used.auto_to_bit_parallel
             )
             .expect("write");
-            match profile_used.route_cache_hit_rate() {
-                Some(rate) => writeln!(
-                    out,
-                    "route cache:            {} hits, {} misses, {} evictions ({:.1}% hit rate)",
-                    profile_used.route_cache_hits,
-                    profile_used.route_cache_misses,
-                    profile_used.route_cache_evictions,
-                    rate * 100.0
-                )
-                .expect("write"),
-                None => writeln!(out, "route cache:            unused").expect("write"),
-            }
             match profile_used.convergecast_hit_rate() {
                 Some(rate) => writeln!(
                     out,
@@ -474,12 +430,7 @@ impl Profile {
 
     /// Runs the profiled simulation and returns its report.
     pub fn run(&self) -> Result<String, String> {
-        let (_, engine, traffic) = self
-            .sim
-            .build(Some(self.shards), SimConfig::default().route_cache)?;
-        let SimEngine::Sharded(sim) = engine else {
-            unreachable!("a shard count selects the sharded engine")
-        };
+        let (_, sim, traffic) = self.sim.build(self.shards)?;
         let profile_cfg = ProfileConfig {
             sample_every: self.sample,
             // Lap slices are only recorded when someone will render

@@ -11,16 +11,16 @@ fn simulate_command_delivers_everything() {
 }
 
 #[test]
-fn simulate_reports_match_for_any_thread_count_and_cache_size() {
-    let base = "simulate 2 6 --messages 400 --router alg2 --seed 3";
-    let want = run(&parse_line(base).unwrap()).unwrap();
-    for extra in [
-        "--threads 8",
-        "--route-cache 0",
-        "--threads 8 --route-cache 0",
+fn simulate_reports_match_for_any_thread_and_shard_count() {
+    for base in [
+        "simulate 2 6 --messages 400 --router alg2 --seed 3",
+        "simulate 2 6 --messages 400 --router alg4 --policy round-robin --seed 3",
     ] {
-        let got = run(&parse_line(&format!("{base} {extra}")).unwrap()).unwrap();
-        assert_eq!(want, got, "{extra}");
+        let want = run(&parse_line(base).unwrap()).unwrap();
+        for extra in ["--threads 8", "--shards 4 --threads 2"] {
+            let got = run(&parse_line(&format!("{base} {extra}")).unwrap()).unwrap();
+            assert_eq!(want, got, "{base} {extra}");
+        }
     }
 }
 
@@ -63,9 +63,10 @@ fn simulate_next_hop_and_workload_flags_work_end_to_end() {
     assert!(parse_line("simulate 2 6 --next-hop turbo").is_err());
     assert!(parse_line("simulate 2 6 --workload zipf:-1").is_err());
     assert!(parse_line("simulate 2 6 --workload poisson").is_err());
-    // --next-hop is a sharded-engine switch.
-    let err = run(&parse_line("simulate 2 5 --next-hop dense").unwrap()).unwrap_err();
-    assert!(err.contains("--shards"), "{err}");
+    // A next-hop tier serves the optimal routers under the zero policy.
+    let err =
+        run(&parse_line("simulate 2 5 --next-hop dense --policy random").unwrap()).unwrap_err();
+    assert!(err.contains("fallback tier"), "{err}");
 
     // Execution: the compressed tier on a 4x4 grid reproduces the
     // single-threaded dense run byte for byte, on a skewed workload.

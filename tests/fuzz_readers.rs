@@ -14,7 +14,7 @@ use debruijn_suite::core::rng::SplitMix64;
 use debruijn_suite::core::{distance, BatchScratch, DeBruijn, Word};
 use debruijn_suite::graph::DebruijnGraph;
 use debruijn_suite::net::record::JsonlRecorder;
-use debruijn_suite::net::{workload, MonitorSet, SimConfig, Simulation};
+use debruijn_suite::net::{workload, MonitorSet, ShardedSimulation, SimConfig};
 use debruijn_suite::trace::{self, TraceMetric};
 
 const CASES: usize = 3000;
@@ -102,9 +102,8 @@ fn run_case(reader: &str, i: usize, text: &str, check: impl FnOnce(&str)) {
 fn recorded_trace(d: u8, k: usize, faults: &str) -> String {
     let space = DeBruijn::new(d, k).unwrap();
     let words = faults.split(',').map(|w| Word::parse(d, w).unwrap());
-    let sim = Simulation::new(space, SimConfig::default())
-        .unwrap()
-        .with_faults(words.collect())
+    let sim = ShardedSimulation::new(space, SimConfig::default(), 1)
+        .and_then(|sim| sim.with_faults(words.collect()))
         .unwrap();
     let mut sink = JsonlRecorder::new(Vec::new());
     sim.run_recorded(&workload::uniform_random(space, 12, 3), &mut sink);

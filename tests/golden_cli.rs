@@ -173,8 +173,10 @@ fn simulate_and_profile_match_the_golden_transcript() {
             "simulate 2 6 --messages 400 --seed 3 --shards 2 --faults 000111 --monitors all",
             "simulate 2 6 --messages 400 --seed 3 --metrics | sed '/^== core profile/q'",
             "simulate 2 6 --messages 400 --seed 3 --shards 2 --router alg4 --metrics | sed '/^== core profile/q'",
+            "simulate 2 6 --messages 400 --seed 3 --shards 2 --policy least-loaded --metrics | sed '/^== core profile/q'",
             "profile 2 6 --messages 400 --seed 3 | head -n 7",
             "profile 2 6 --messages 400 --seed 3 --shards 2 --threads 2 --faults 010101 | head -n 7",
+            "profile 2 6 --messages 400 --seed 3 --router trivial | head -n 7",
         ],
     );
 }
@@ -212,6 +214,7 @@ fn parse_and_run_errors_match_the_golden_transcript() {
             // Unknown names.
             "frob",
             "simulate 2 6 --metricss",
+            "simulate 2 6 --route-cache 8",
             "trace frob $TMP/x.jsonl",
             "trace hist hopss $TMP/x.jsonl",
             "trace --top 3 summary $TMP/x.jsonl",
@@ -256,9 +259,9 @@ fn parse_and_run_errors_match_the_golden_transcript() {
             "route 2 --batch $TMP/missing.txt",
             "gdb 2 12 12 0",
             "disjoint 2 000 000",
-            "simulate 2 5 --next-hop dense",
+            "simulate 2 5 --next-hop dense --policy random",
             "simulate 2 5 --faults 00000,0x1",
-            "simulate 2 5 --router trivial --shards 2",
+            "simulate 2 5 --router trivial --shards 2 --next-hop compressed",
             "census 2 80",
             "sequence 2 30",
             "sequence 1 3",

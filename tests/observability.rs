@@ -14,7 +14,8 @@ use debruijn_suite::net::metrics::{
 };
 use debruijn_suite::net::record::{parse_event, FanoutRecorder, JsonlRecorder};
 use debruijn_suite::net::{
-    workload, InMemoryRecorder, NetEvent, RouterKind, SimConfig, Simulation, WildcardPolicy,
+    workload, InMemoryRecorder, NetEvent, NextHopMode, RouterKind, ShardedSimulation, SimConfig,
+    WildcardPolicy,
 };
 
 #[test]
@@ -30,7 +31,7 @@ fn recorded_mean_hops_matches_analytic_average_on_dg_2_8() {
         policy: WildcardPolicy::LeastLoaded,
         ..SimConfig::default()
     };
-    let sim = Simulation::new(space, config).unwrap();
+    let sim = ShardedSimulation::new(space, config, 2).unwrap();
     let messages = 5_000;
     let traffic = workload::uniform_random(space, messages, 0xE2E);
 
@@ -64,7 +65,10 @@ fn jsonl_stream_is_consistent_with_the_aggregate_report() {
         router: RouterKind::Algorithm2,
         ..SimConfig::default()
     };
-    let sim = Simulation::new(space, config).unwrap();
+    // Source routes, so every Inject event carries its route length.
+    let sim = ShardedSimulation::new(space, config, 2)
+        .and_then(|sim| sim.with_next_hop(NextHopMode::Fallback))
+        .unwrap();
     let traffic = workload::uniform_random(space, 400, 9);
 
     let mut metrics = InMemoryRecorder::new();
@@ -112,11 +116,14 @@ fn live_scrape_and_flight_recorder_capture_a_faulty_run() {
         ..SimConfig::default()
     };
     let faulty = Word::parse(2, "000000").unwrap();
-    let sim = Simulation::new(space, config)
-        .unwrap()
-        .with_faults(vec![faulty])
+    // Source routes, so the run itself dispatches the distance engines
+    // whose counters the scrape carries.
+    let sim = ShardedSimulation::new(space, config, 2)
+        .and_then(|sim| sim.with_next_hop(NextHopMode::Fallback))
+        .and_then(|sim| sim.with_faults(vec![faulty]))
         .unwrap();
-    let traffic = workload::uniform_random(space, 3_000, 7);
+    // One burst at tick 0: the faulty node's own messages drop together.
+    let traffic = workload::uniform_burst(space, 3_000, 7);
 
     let registry = Arc::new(MetricsRegistry::new());
     register_core_profile(&registry);

@@ -4,14 +4,21 @@
 use debruijn_suite::core::{distance, routing, DeBruijn, Word};
 use debruijn_suite::graph::{bfs, DebruijnGraph};
 use debruijn_suite::net::{
-    workload, FaultHandling, RouterKind, SimConfig, Simulation, WildcardPolicy,
+    workload, FaultHandling, NetError, NextHopMode, RouterKind, ShardedSimulation, SimConfig,
+    WildcardPolicy,
 };
+
+/// The engine on its source-routed tier: each message executes the
+/// routing-path field its source computed.
+fn source_routed(space: DeBruijn, config: SimConfig) -> Result<ShardedSimulation, NetError> {
+    ShardedSimulation::new(space, config, 2)?.with_next_hop(NextHopMode::Fallback)
+}
 
 #[test]
 fn simulated_hop_counts_equal_bfs_distances() {
     let space = DeBruijn::new(2, 5).unwrap();
     let graph = DebruijnGraph::undirected(space).unwrap();
-    let sim = Simulation::new(
+    let sim = source_routed(
         space,
         SimConfig {
             router: RouterKind::Algorithm4,
@@ -41,7 +48,7 @@ fn simulated_hop_counts_equal_bfs_distances() {
 fn directed_simulation_matches_directed_bfs() {
     let space = DeBruijn::new(3, 3).unwrap();
     let graph = DebruijnGraph::directed(space).unwrap();
-    let sim = Simulation::new(
+    let sim = source_routed(
         space,
         SimConfig {
             router: RouterKind::Algorithm1,
@@ -72,15 +79,14 @@ fn rerouted_messages_use_real_detours() {
         .collect();
     let fault_ids: Vec<u32> = faults.iter().map(|f| graph.rank_of(f)).collect();
 
-    let sim = Simulation::new(
+    let sim = source_routed(
         space,
         SimConfig {
             fault_handling: FaultHandling::SourceReroute,
             ..SimConfig::default()
         },
     )
-    .unwrap()
-    .with_faults(faults.clone())
+    .and_then(|sim| sim.with_faults(faults.clone()))
     .unwrap();
 
     let traffic = workload::all_pairs(space);
@@ -114,7 +120,7 @@ fn wildcard_policies_preserve_hop_counts() {
     let traffic = workload::uniform_random(space, 1_000, 21);
     let mut histograms = Vec::new();
     for policy in WildcardPolicy::all() {
-        let sim = Simulation::new(
+        let sim = source_routed(
             space,
             SimConfig {
                 policy,
