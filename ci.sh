@@ -175,41 +175,55 @@ done
 echo "profiled report matches the unprofiled run; profile JSON schema present"
 
 echo "== query service smoke =="
-# The thread-per-core query service end to end over loopback:
-# concurrent keep-alive clients get correct answers, malformed queries
+# The query service end to end over loopback, with one shard and with
+# two: concurrent clients get correct answers, malformed queries
 # get typed 400s, unknown endpoints 404, the scrape carries the
 # dbr_service_* families, and /quitquitquit shuts down cleanly with an
 # end-of-run metrics dump on stdout (see docs/OBSERVABILITY.md
 # "Serving traffic").
-./target/release/dbr serve 2 --listen 127.0.0.1:0 --threads 2 \
-    > "$smoke_dir/serve.txt" 2> "$smoke_dir/serve.err" &
-listen_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's|^listening on http://\([^/]*\)/metrics$|\1|p' \
-        "$smoke_dir/serve.err")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "serve smoke: server never announced its address"
-    cat "$smoke_dir/serve.err"
-    exit 1
-fi
-# Concurrent clients: every answer must be the engine's.
-client_pids=""
-for _ in 1 2 3 4; do
-    {
-        for _ in 1 2 3 4 5 6 7 8; do
-            curl -fsS "http://$addr/distance?x=00000000&y=11111111"
-            curl -fsS "http://$addr/route?x=00000000&y=11111111"
-        done
-    } > /dev/null &
-    client_pids="$client_pids $!"
-done
-for pid in $client_pids; do
-    wait "$pid" || { echo "serve smoke: a client batch failed"; exit 1; }
-done
+# Starts `dbr serve 2 --threads N` and sets listen_pid and addr; its
+# stdout and stderr go to $smoke_dir/serve.txt and serve.err.
+start_serve() {
+    ./target/release/dbr serve 2 --listen 127.0.0.1:0 --threads "$1" \
+        > "$smoke_dir/serve.txt" 2> "$smoke_dir/serve.err" &
+    listen_pid=$!
+    addr=""
+    for _ in $(seq 1 100); do
+        addr=$(sed -n 's|^listening on http://\([^/]*\)/metrics$|\1|p' \
+            "$smoke_dir/serve.err")
+        [ -n "$addr" ] && break
+        sleep 0.1
+    done
+    if [ -z "$addr" ]; then
+        echo "serve smoke: server never announced its address"
+        cat "$smoke_dir/serve.err"
+        exit 1
+    fi
+}
+# Four concurrent curl loops: every answer must be the engine's.
+concurrent_clients() {
+    client_pids=""
+    for _ in 1 2 3 4; do
+        {
+            for _ in 1 2 3 4 5 6 7 8; do
+                curl -fsS "http://$addr/distance?x=00000000&y=11111111"
+                curl -fsS "http://$addr/route?x=00000000&y=11111111"
+            done
+        } > /dev/null &
+        client_pids="$client_pids $!"
+    done
+    for pid in $client_pids; do
+        wait "$pid" || { echo "serve smoke: a client batch failed"; exit 1; }
+    done
+}
+# One shard: all four client loops contend on one cache lock.
+start_serve 1
+concurrent_clients
+curl -fsS "http://$addr/quitquitquit" | grep -q "shutting down"
+wait "$listen_pid" || { echo "serve smoke: --threads 1 serve exited non-zero"; exit 1; }
+listen_pid=""
+start_serve 2
+concurrent_clients
 dist=$(curl -fsS "http://$addr/distance?x=00000000&y=11111111")
 if [ "$dist" != "8" ]; then
     echo "serve smoke: distance(00000000,11111111) = '$dist', want 8"

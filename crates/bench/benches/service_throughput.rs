@@ -1,29 +1,31 @@
-//! Loopback throughput of the thread-per-core query service: sixteen
-//! keep-alive HTTP clients hammering `/route` and `/distance` on
-//! `DG(2,16)`, against two architectures of the same [`Dispatcher`]:
+//! Loopback throughput of the query service: sixteen keep-alive HTTP
+//! clients hammering `/route` and `/distance` on `DG(2,16)`, against two
+//! shard layouts of the same [`Dispatcher`]:
 //!
-//! * `sharded_batched` — the shipping configuration: one private
-//!   clock-ring route cache per worker (destination-hash sharding,
-//!   zero shared locks on the hot path) and batched queue drains;
-//! * `shared_unbatched` — the pre-sharding baseline: one global queue
-//!   and one mutex-guarded cache all workers contend on, drained one
-//!   query per wakeup.
+//! * `sharded_batched` — the shipping configuration: four
+//!   destination-hashed route-cache shards, each behind its own lock;
+//! * `shared_unbatched` — the one-shard baseline (`workers: 1`): every
+//!   connection thread contends on one cache lock.
+//!
+//! The series keep the names they had when the first layout also
+//! batched queue drains and the second was a separate shared-cache
+//! mode; connection threads now answer their own queries in both.
 //!
 //! The two configurations' runs are interleaved (A,B,A,B,...) so
 //! machine drift lands on both sides of the comparison equally. Both
 //! run twice: once over uniform random pairs and once over a
 //! destination-skewed workload (`workload::zipf`, `--zipf-exponent`,
-//! default 1.0) whose hot sinks concentrate on few cache shards and
-//! feed the workers' destination-major batch drains (`*_zipf` series).
+//! default 1.0) whose hot sinks concentrate on few cache shards
+//! (`*_zipf` series).
 //!
 //! Reports QPS for both plus client-observed p50/p99 latency. QPS is a
 //! higher-is-better series, so `bench.sh --check` excludes it from the
 //! lower-is-better regression comparison via `--ns-only` and instead
 //! gates it inside this binary: `--min-qps-ratio N` exits non-zero if
-//! the sharded+batched path fails to beat the shared-cache baseline by
-//! `N`x (self-skipped on single-core hosts, where the worker pool
-//! cannot express parallelism; the skip and its reason land in the
-//! emitted JSON as a `"skipped"` field).
+//! the sharded path fails to beat the one-shard baseline by `N`x
+//! (self-skipped on single-core hosts, where lock contention cannot
+//! arise; the skip and its reason land in the emitted JSON as a
+//! `"skipped"` field).
 //!
 //! Every response is asserted byte-identical to the single-threaded
 //! direct-engine answer — the bench doubles as a load-level
@@ -95,8 +97,7 @@ fn request_list() -> Vec<(String, String)> {
 /// A destination-skewed request list: `workload::zipf` draws the
 /// destinations Zipf(`exponent`)-style over all of `DG(D,K)`, so a few
 /// hot sinks dominate — convergecast-shaped traffic that concentrates on
-/// few cache shards and rewards the workers' destination-major batch
-/// drains.
+/// few cache shards.
 fn zipf_request_list(exponent: f64) -> Vec<(String, String)> {
     let space = DeBruijn::new(D, K).expect("bench space is valid");
     let pairs = workload::zipf(space, PAIRS, exponent, 0xDB)
@@ -232,9 +233,7 @@ fn main() {
         ..ServiceConfig::new(D)
     };
     let shared = ServiceConfig {
-        workers: WORKERS,
-        shared_cache: true,
-        batch: 1,
+        workers: 1,
         ..ServiceConfig::new(D)
     };
 
@@ -267,8 +266,8 @@ fn main() {
 
     if let Some(limit) = min_qps_ratio {
         // The sharded-vs-shared gap is contention relief, and a
-        // single-core host serializes the workers anyway, so the floor
-        // only gates where the machine can express it. The gate runs
+        // single-core host serializes the connection threads anyway, so
+        // the floor only gates where the machine can express it. The gate runs
         // before the JSON is printed so a self-skip is recorded in the
         // emitted line rather than only on stderr.
         let cores = std::thread::available_parallelism()
@@ -283,19 +282,19 @@ fn main() {
             report.skip(&reason);
         } else if ratio < limit {
             eprintln!(
-                "sharded+batched QPS only {ratio:.2}x the shared-cache baseline, \
+                "sharded QPS only {ratio:.2}x the one-shard baseline, \
                  below the {limit}x floor"
             );
             std::process::exit(1);
         } else {
-            eprintln!("sharded+batched QPS {ratio:.2}x the shared-cache baseline meets the {limit}x floor");
+            eprintln!("sharded QPS {ratio:.2}x the one-shard baseline meets the {limit}x floor");
         }
     }
 
     if json {
         println!("{}", report.render());
     } else {
-        println!("\nsharded+batched over shared+unbatched: {ratio:.2}x QPS");
+        println!("\nsharded over one shard: {ratio:.2}x QPS");
         println!("(every response asserted byte-identical to the direct engine)");
     }
 }

@@ -106,9 +106,23 @@ impl fmt::Display for Step {
 /// assert_eq!(path.to_string(), "(0,1)(0,1)");
 /// # Ok::<(), debruijn_core::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, PartialEq, Eq, Hash, Default)]
 pub struct RoutePath {
     steps: Vec<Step>,
+}
+
+impl Clone for RoutePath {
+    fn clone(&self) -> Self {
+        Self {
+            steps: self.steps.clone(),
+        }
+    }
+
+    /// Copies `source` into this path's step buffer, allocating only
+    /// when the buffer is too small.
+    fn clone_from(&mut self, source: &Self) {
+        self.steps.clone_from(&source.steps);
+    }
 }
 
 impl RoutePath {

@@ -27,10 +27,27 @@ use crate::error::Error;
 /// assert_eq!(x.rank(), 0b0110);
 /// # Ok::<(), debruijn_core::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Word {
     d: u8,
     digits: Vec<u8>,
+}
+
+impl Clone for Word {
+    fn clone(&self) -> Self {
+        Self {
+            d: self.d,
+            digits: self.digits.clone(),
+        }
+    }
+
+    /// Copies `source` into this word's digit buffer, allocating only
+    /// when the buffer is too small (the route cache's in-place key
+    /// overwrite relies on this).
+    fn clone_from(&mut self, source: &Self) {
+        self.d = source.d;
+        self.digits.clone_from(&source.digits);
+    }
 }
 
 impl Word {
@@ -104,28 +121,62 @@ impl Word {
     /// Returns an error on empty input, unparsable characters, or digits
     /// `>= d`.
     pub fn parse(d: u8, text: &str) -> Result<Self, Error> {
-        let digits: Result<Vec<u8>, Error> = if text.contains('.') {
-            text.split('.')
-                .enumerate()
-                .map(|(index, part)| part.parse::<u8>().map_err(|_| Error::ParseDigit { index }))
-                .collect()
-        } else {
-            text.bytes()
-                .enumerate()
-                .map(|(index, b)| {
-                    if b.is_ascii_digit() {
-                        Ok(b - b'0')
-                    } else {
-                        Err(Error::ParseDigit { index })
-                    }
-                })
-                .collect()
-        };
-        let digits = digits?;
+        let bytes = text.as_bytes();
+        let mut digits = Vec::with_capacity(bytes.len());
+        // The first digit at or above the radix: reported only once every
+        // byte is known to be a digit.
+        let mut out_of_range = None;
+        for (index, &b) in bytes.iter().enumerate() {
+            if !b.is_ascii_digit() {
+                // A dotted word numbers its digits by part, not by byte.
+                if bytes[index..].contains(&b'.') {
+                    return Self::parse_dotted(d, text);
+                }
+                return Err(Error::ParseDigit { index });
+            }
+            let digit = b - b'0';
+            if digit >= d && out_of_range.is_none() {
+                out_of_range = Some((index, digit));
+            }
+            digits.push(digit);
+        }
+        Self::from_parsed(d, digits, out_of_range)
+    }
+
+    /// [`Word::parse`] for text containing a `.`: one `u8` per part.
+    fn parse_dotted(d: u8, text: &str) -> Result<Self, Error> {
+        let parts = text.bytes().filter(|&b| b == b'.').count() + 1;
+        let mut digits = Vec::with_capacity(parts);
+        let mut out_of_range = None;
+        for (index, part) in text.split('.').enumerate() {
+            let digit = part
+                .parse::<u8>()
+                .map_err(|_| Error::ParseDigit { index })?;
+            if digit >= d && out_of_range.is_none() {
+                out_of_range = Some((index, digit));
+            }
+            digits.push(digit);
+        }
+        Self::from_parsed(d, digits, out_of_range)
+    }
+
+    /// The checks [`Word::new`] makes, in its order, on digits whose
+    /// first out-of-range entry the parser already found.
+    fn from_parsed(
+        d: u8,
+        digits: Vec<u8>,
+        out_of_range: Option<(usize, u8)>,
+    ) -> Result<Self, Error> {
         if digits.is_empty() {
             return Err(Error::ParseEmpty);
         }
-        Self::new(d, digits)
+        if d < 2 {
+            return Err(Error::RadixTooSmall { d });
+        }
+        if let Some((index, digit)) = out_of_range {
+            return Err(Error::DigitOutOfRange { digit, d, index });
+        }
+        Ok(Self { d, digits })
     }
 
     /// The digit radix `d`.
@@ -357,6 +408,82 @@ mod tests {
             Word::parse(16, "1.x.2"),
             Err(Error::ParseDigit { index: 1 })
         );
+    }
+
+    /// The two-pass parser `Word::parse` replaced: collect every digit,
+    /// then validate them with `Word::new`.
+    fn parse_reference(d: u8, text: &str) -> Result<Word, Error> {
+        let digits: Result<Vec<u8>, Error> = if text.contains('.') {
+            text.split('.')
+                .enumerate()
+                .map(|(index, part)| part.parse::<u8>().map_err(|_| Error::ParseDigit { index }))
+                .collect()
+        } else {
+            text.bytes()
+                .enumerate()
+                .map(|(index, b)| {
+                    if b.is_ascii_digit() {
+                        Ok(b - b'0')
+                    } else {
+                        Err(Error::ParseDigit { index })
+                    }
+                })
+                .collect()
+        };
+        let digits = digits?;
+        if digits.is_empty() {
+            return Err(Error::ParseEmpty);
+        }
+        Word::new(d, digits)
+    }
+
+    #[test]
+    fn one_pass_parse_matches_the_reference_for_every_radix() {
+        use crate::rng::SplitMix64;
+        let alphabet: [&str; 14] = [
+            "0", "1", "2", "5", "9", ".", ".", "+", "-", "a", " ", "25", "300", "é",
+        ];
+        let mut rng = SplitMix64::new(0x9A55);
+        for d in 0..=255u8 {
+            for _ in 0..200 {
+                let len = rng.below_usize(12);
+                let text: String = (0..len)
+                    .map(|_| alphabet[rng.below_usize(alphabet.len())])
+                    .collect();
+                assert_eq!(
+                    Word::parse(d, &text),
+                    parse_reference(d, &text),
+                    "d={d} {text:?}"
+                );
+            }
+            for _ in 0..50 {
+                let bytes: Vec<u8> = (0..rng.below_usize(12))
+                    .map(|_| rng.below_usize(256) as u8)
+                    .collect();
+                let text = String::from_utf8_lossy(&bytes);
+                assert_eq!(
+                    Word::parse(d, &text),
+                    parse_reference(d, &text),
+                    "d={d} {text:?}"
+                );
+            }
+            let digits: String = (0..64).map(|_| (b'0' + rng.digit(10)) as char).collect();
+            assert_eq!(
+                Word::parse(d, &digits),
+                parse_reference(d, &digits),
+                "d={d}"
+            );
+        }
+    }
+
+    #[test]
+    fn clone_from_reuses_the_digit_buffer() {
+        let source = Word::parse(3, "0120").unwrap();
+        let mut target = Word::parse(2, "01101").unwrap();
+        let before = target.digits().as_ptr();
+        target.clone_from(&source);
+        assert_eq!(target, source);
+        assert_eq!(target.digits().as_ptr(), before);
     }
 
     #[test]

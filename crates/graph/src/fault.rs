@@ -38,34 +38,6 @@ pub fn route_avoiding(
     Some(path)
 }
 
-/// A shortest route avoiding both faulty nodes and faulty directed
-/// links, in the paper's step encoding; `None` if the survivors are cut.
-///
-/// # Panics
-///
-/// Panics if any word is not a vertex of `graph`'s space.
-pub fn route_avoiding_full(
-    graph: &DebruijnGraph,
-    x: &Word,
-    y: &Word,
-    node_faults: &[Word],
-    link_faults: &[(Word, Word)],
-) -> Option<RoutePath> {
-    let src = graph.rank_of(x);
-    let dst = graph.rank_of(y);
-    let nodes: Vec<u32> = node_faults.iter().map(|f| graph.rank_of(f)).collect();
-    let links: Vec<(u32, u32)> = link_faults
-        .iter()
-        .map(|(a, b)| (graph.rank_of(a), graph.rank_of(b)))
-        .collect();
-    let walk = bfs::shortest_path_avoiding_links(graph, src, dst, &nodes, &links)?;
-    let words: Vec<Word> = walk.iter().map(|&n| graph.word_of(n)).collect();
-    let path =
-        RoutePath::from_word_walk(&words).expect("BFS paths follow graph edges, which are shifts");
-    debug_assert!(path.leads_to(x, y));
-    Some(path)
-}
-
 /// A shortest surviving route on *any* adjacency view — Kautz graphs,
 /// generalized de Bruijn graphs, or `DG(d,k)` itself — as a rank walk
 /// (inclusive of both endpoints), or `None` when the faults cut every

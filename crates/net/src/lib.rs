@@ -36,11 +36,12 @@
 //!   std-only HTTP scrape server ([`metrics::ScrapeServer`]), and an
 //!   anomaly-triggered [`metrics::FlightRecorder`] for post-mortem event
 //!   capture;
-//! * [`service`] — a thread-per-core query service over the routing
-//!   engines ([`QueryService`]): HTTP/1.1 keep-alive, per-worker
-//!   sharded route caches, request batching, and bounded admission
-//!   queues that shed overload with `503` + `Retry-After` — answers
-//!   byte-identical to the direct engine at any thread count.
+//! * [`service`] — a query service over the routing engines
+//!   ([`QueryService`]): HTTP/1.1 keep-alive connection threads that
+//!   answer each query under its destination shard's route-cache lock,
+//!   and bounded per-shard admission that sheds overload with `503` +
+//!   `Retry-After` — answers byte-identical to the direct engine at any
+//!   shard count.
 //!
 //! Everything is deterministic given the seed in [`SimConfig`].
 //!

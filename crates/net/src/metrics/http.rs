@@ -115,16 +115,113 @@ pub struct HttpRequest {
     pub keep_alive: bool,
 }
 
+/// The longest request line or header line [`read_request`] accepts,
+/// terminator included; all header lines together get the same budget.
+pub const MAX_HEAD_LINE: usize = 8192;
+
+/// Why [`read_request`] refused a request head: a line grew past
+/// [`MAX_HEAD_LINE`] before its newline arrived. It travels as the
+/// payload of an [`io::ErrorKind::InvalidData`] error; the server
+/// answers with [`HeadTooLarge::response`] and closes the connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HeadTooLarge {
+    /// The request line (`414 URI Too Long`).
+    RequestLine,
+    /// A header line, or the header lines together
+    /// (`431 Request Header Fields Too Large`).
+    Headers,
+}
+
+impl HeadTooLarge {
+    /// The refusal `error` carries, if it is one.
+    pub fn of(error: &io::Error) -> Option<Self> {
+        error.get_ref()?.downcast_ref::<Self>().copied()
+    }
+
+    /// The status code of the refusal.
+    pub fn status(self) -> u16 {
+        match self {
+            HeadTooLarge::RequestLine => 414,
+            HeadTooLarge::Headers => 431,
+        }
+    }
+
+    /// The `request-too-large` JSON error answering the refusal.
+    pub fn response(self) -> HttpResponse {
+        HttpResponse::json_error(self.status(), "request-too-large", &self.to_string())
+    }
+}
+
+impl std::fmt::Display for HeadTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let what = match self {
+            HeadTooLarge::RequestLine => "request line",
+            HeadTooLarge::Headers => "request headers",
+        };
+        write!(f, "{what} longer than {MAX_HEAD_LINE} bytes")
+    }
+}
+
+impl std::error::Error for HeadTooLarge {}
+
+impl From<HeadTooLarge> for io::Error {
+    fn from(refusal: HeadTooLarge) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, refusal)
+    }
+}
+
+/// Reads one line, terminator included, into `line` (cleared first).
+/// Returns the bytes read (0 at end of input), or `None` once `max`
+/// bytes have passed without a newline — having buffered at most `max`.
+fn read_line_bounded(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    max: usize,
+) -> io::Result<Option<usize>> {
+    line.clear();
+    loop {
+        let available = match reader.fill_buf() {
+            Ok(available) => available,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            return Ok(Some(line.len()));
+        }
+        let newline = available.iter().position(|&b| b == b'\n');
+        let take = newline.map_or(available.len(), |i| i + 1);
+        if line.len() + take > max {
+            return Ok(None);
+        }
+        line.extend_from_slice(&available[..take]);
+        reader.consume(take);
+        if newline.is_some() {
+            return Ok(Some(line.len()));
+        }
+    }
+}
+
 /// Reads one request head from `reader`. `Ok(None)` means the peer
 /// closed the connection cleanly between requests (keep-alive end).
 ///
-/// Headers are drained (bounded at 8 KiB) so pipelined clients stay in
-/// sync; only the `Connection` header is interpreted.
-pub(crate) fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<HttpRequest>> {
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line)? == 0 {
-        return Ok(None);
+/// Headers are drained so pipelined clients stay in sync; only the
+/// `Connection` header is interpreted. No line may exceed
+/// [`MAX_HEAD_LINE`] bytes, nor the header lines together.
+///
+/// # Errors
+///
+/// The reader's I/O errors; [`io::ErrorKind::InvalidData`] for a request
+/// line that is not UTF-8, or, carrying a [`HeadTooLarge`], for an
+/// oversized line.
+pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<HttpRequest>> {
+    let mut line = Vec::new();
+    match read_line_bounded(reader, &mut line, MAX_HEAD_LINE)? {
+        None => return Err(HeadTooLarge::RequestLine.into()),
+        Some(0) => return Ok(None),
+        Some(_) => {}
     }
+    let request_line =
+        std::str::from_utf8(&line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let target = parts.next().unwrap_or("").to_string();
@@ -132,20 +229,21 @@ pub(crate) fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Opti
     let mut keep_alive = !http10;
     let mut drained = 0usize;
     loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
+        let n = read_line_bounded(reader, &mut line, MAX_HEAD_LINE - drained)?
+            .ok_or(HeadTooLarge::Headers)?;
         drained += n;
-        if n == 0 || line == "\r\n" || line == "\n" || drained > 8192 {
+        if n == 0 || line == b"\r\n" || line == b"\n" {
             break;
         }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("connection") {
-                let value = value.trim();
-                if value.eq_ignore_ascii_case("close") {
-                    keep_alive = false;
-                } else if value.eq_ignore_ascii_case("keep-alive") {
-                    keep_alive = true;
-                }
+        let Some(colon) = line.iter().position(|&b| b == b':') else {
+            continue;
+        };
+        if line[..colon].eq_ignore_ascii_case(b"connection") {
+            let value = line[colon + 1..].trim_ascii();
+            if value.eq_ignore_ascii_case(b"close") {
+                keep_alive = false;
+            } else if value.eq_ignore_ascii_case(b"keep-alive") {
+                keep_alive = true;
             }
         }
     }
@@ -163,23 +261,25 @@ pub(crate) fn write_response(
     response: &HttpResponse,
     keep_alive: bool,
 ) -> io::Result<()> {
-    let retry = match response.retry_after {
-        Some(secs) => format!("Retry-After: {secs}\r\n"),
-        None => String::new(),
-    };
+    use std::fmt::Write as _;
     // One buffer, one write: `write!` straight into an unbuffered
     // TcpStream would issue a syscall (and, under TCP_NODELAY, a
-    // packet) per format fragment.
-    let message = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}Connection: {}\r\n\r\n{}",
+    // packet) per format fragment. The head is under 192 bytes, so the
+    // buffer is sized once.
+    let mut message = String::with_capacity(192 + response.body.len());
+    let _ = write!(
+        message,
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
         response.status,
         status_reason(response.status),
         response.content_type,
         response.body.len(),
-        retry,
-        if keep_alive { "keep-alive" } else { "close" },
-        response.body
     );
+    if let Some(secs) = response.retry_after {
+        let _ = write!(message, "Retry-After: {secs}\r\n");
+    }
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let _ = write!(message, "Connection: {connection}\r\n\r\n{}", response.body);
     stream.write_all(message.as_bytes())?;
     stream.flush()
 }
@@ -195,6 +295,8 @@ fn status_reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        414 => "URI Too Long",
+        431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
@@ -347,8 +449,15 @@ fn serve_connection(
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let Some(request) = read_request(&mut reader)? else {
-        return Ok(());
+    let request = match read_request(&mut reader) {
+        Ok(Some(request)) => request,
+        Ok(None) => return Ok(()),
+        Err(e) => {
+            if let Some(refusal) = HeadTooLarge::of(&e) {
+                write_response(stream, &refusal.response(), false)?;
+            }
+            return Err(e);
+        }
     };
     let response = route(&request.method, &request.target, registry, handler);
     let endpoint = match request.target.split('?').next().unwrap_or("") {

@@ -54,7 +54,10 @@ mod registry;
 
 pub use export::{FamilySnapshot, GaugeMerge, LabelSet, MetricKind, MetricValue, MetricsSnapshot};
 pub use flight::{numbered_path, Anomaly, AnomalyTriggers, Burst, FlightRecorder, MAX_CAPTURES};
-pub(crate) use http::{read_request, write_response};
-pub use http::{HttpHandler, HttpRequest, HttpResponse, ScrapeServer, PROMETHEUS_CONTENT_TYPE};
+pub(crate) use http::write_response;
+pub use http::{
+    read_request, HeadTooLarge, HttpHandler, HttpRequest, HttpResponse, ScrapeServer,
+    MAX_HEAD_LINE, PROMETHEUS_CONTENT_TYPE,
+};
 pub use recorder::{register_core_profile, replay_sharded, RegistryRecorder};
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry};

@@ -1,58 +1,132 @@
 //! The I/O plane: HTTP/1.1 keep-alive connection handling in front of
 //! the [`Dispatcher`].
 //!
-//! A [`QueryService`] owns one accept thread, a bounded pool of
+//! A [`QueryService`] owns one accept thread and a bounded pool of
 //! connection threads (one per live connection — blocking I/O, no
-//! reactor), and one compute worker per dispatcher shard. Connection
-//! threads do only protocol work: parse a request, hand the query to
-//! [`Dispatcher::submit`], block on the reply channel, write the
-//! response, repeat on the same socket. All routing math happens on the
-//! worker that owns the destination's cache shard, so answers are
-//! identical no matter which connection carried the query.
+//! reactor). A connection thread reads a request, parses the query,
+//! admits it with [`Dispatcher::admit`], answers it under the
+//! destination shard's lock, writes the response, and repeats on the
+//! same socket. Every query toward one destination meets the same
+//! cache shard, so answers are identical no matter which connection
+//! carried the query.
 //!
 //! Endpoints: `/distance` and `/route` (the query grammar of
 //! [`parse_query`]), `/metrics` (Prometheus text), `/healthz`, and
-//! `/quitquitquit` (graceful shutdown: answer, stop accepting, drain
-//! queues, join workers — how `dbr serve` gets an end-of-run metrics
-//! dump and CI gets a deterministic teardown).
+//! `/quitquitquit` (graceful shutdown: answer, stop accepting, let live
+//! connections finish, close admission — how `dbr serve` gets an
+//! end-of-run metrics dump and CI gets a deterministic teardown).
 
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use super::query::{parse_query, QueryKind};
 use super::worker::{Dispatcher, ServiceConfig};
 use crate::metrics::{
-    read_request, write_response, Anomaly, HttpResponse, MetricsRegistry, PROMETHEUS_CONTENT_TYPE,
+    read_request, write_response, Anomaly, Counter, HeadTooLarge, HttpResponse, MetricsRegistry,
+    PROMETHEUS_CONTENT_TYPE,
 };
 
 /// Hard cap on concurrent connections; beyond it new sockets get an
-/// immediate `503`. Queue bounds (not this) are the real admission
-/// control — the cap only stops a connection flood from exhausting
-/// threads.
+/// immediate `503`. Per-shard admission bounds (not this) are the real
+/// admission control — the cap only stops a connection flood from
+/// exhausting threads.
 const MAX_CONNECTIONS: usize = 1024;
 
 /// How long an idle keep-alive connection may sit between requests.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// How long shutdown waits for in-flight connections to finish before
-/// proceeding (stragglers then shed against the closed queues).
+/// proceeding (stragglers then shed against the closed dispatcher).
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
+
+/// The `endpoint` labels of `dbr_service_requests_total`.
+const ENDPOINTS: [&str; 6] = [
+    "distance",
+    "route",
+    "metrics",
+    "healthz",
+    "quitquitquit",
+    "other",
+];
+
+/// The statuses the service answers with.
+const STATUSES: [u16; 8] = [200, 400, 404, 405, 414, 431, 500, 503];
+
+/// The `kind` labels of `dbr_service_errors_total`.
+const ERROR_KINDS: [&str; 7] = [
+    "method",
+    "unknown-endpoint",
+    "missing-param",
+    "bad-address",
+    "length-mismatch",
+    "request-too-large",
+    "internal",
+];
+
+/// The request and error counters, each resolved from the registry on
+/// its first use and kept, so a request costs one atomic add instead
+/// of a registry lookup.
+struct RequestCounters {
+    registry: Arc<MetricsRegistry>,
+    requests: [[OnceLock<Counter>; STATUSES.len()]; ENDPOINTS.len()],
+    errors: [OnceLock<Counter>; ERROR_KINDS.len()],
+}
+
+impl RequestCounters {
+    fn new(registry: Arc<MetricsRegistry>) -> Self {
+        Self {
+            registry,
+            requests: [const { [const { OnceLock::new() }; STATUSES.len()] }; ENDPOINTS.len()],
+            errors: [const { OnceLock::new() }; ERROR_KINDS.len()],
+        }
+    }
+
+    fn request(&self, endpoint: &str, status: u16) {
+        let resolve = || {
+            self.registry.counter_with(
+                "dbr_service_requests_total",
+                "Service requests, by endpoint and status.",
+                &[("endpoint", endpoint), ("status", &status.to_string())],
+            )
+        };
+        let e = ENDPOINTS.iter().position(|&e| e == endpoint);
+        let s = STATUSES.iter().position(|&s| s == status);
+        match (e, s) {
+            (Some(e), Some(s)) => self.requests[e][s].get_or_init(resolve).inc(),
+            _ => resolve().inc(),
+        }
+    }
+
+    fn error(&self, kind: &str) {
+        let resolve = || {
+            self.registry.counter_with(
+                "dbr_service_errors_total",
+                "Rejected service requests, by error kind.",
+                &[("kind", kind)],
+            )
+        };
+        match ERROR_KINDS.iter().position(|&k| k == kind) {
+            Some(k) => self.errors[k].get_or_init(resolve).inc(),
+            None => resolve().inc(),
+        }
+    }
+}
 
 /// Shared state every connection thread needs.
 struct Shared {
     dispatcher: Arc<Dispatcher>,
     registry: Arc<MetricsRegistry>,
+    counters: RequestCounters,
     stop: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
     addr: SocketAddr,
 }
 
-/// A thread-per-core HTTP query service over one TCP listener.
+/// A thread-per-connection HTTP query service over one TCP listener.
 ///
 /// # Examples
 ///
@@ -72,15 +146,13 @@ pub struct QueryService {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     dispatcher: Arc<Dispatcher>,
     active: Arc<AtomicUsize>,
     torn_down: bool,
 }
 
 impl QueryService {
-    /// Binds `addr` and starts the accept thread plus one compute
-    /// worker per shard.
+    /// Binds `addr` and starts the accept thread.
     ///
     /// # Errors
     ///
@@ -108,19 +180,11 @@ impl QueryService {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let dispatcher = Arc::new(dispatcher);
-        let mut workers = Vec::with_capacity(dispatcher.workers());
-        for w in 0..dispatcher.workers() {
-            let dispatcher = Arc::clone(&dispatcher);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("dbr-serve-worker-{w}"))
-                    .spawn(move || dispatcher.run_worker(w))?,
-            );
-        }
         let stop = Arc::new(AtomicBool::new(false));
         let active = Arc::new(AtomicUsize::new(0));
         let shared = Arc::new(Shared {
             dispatcher: Arc::clone(&dispatcher),
+            counters: RequestCounters::new(Arc::clone(&registry)),
             registry,
             stop: Arc::clone(&stop),
             active: Arc::clone(&active),
@@ -157,7 +221,6 @@ impl QueryService {
             addr: local,
             stop,
             accept: Some(accept),
-            workers,
             dispatcher,
             active,
             torn_down: false,
@@ -175,7 +238,7 @@ impl QueryService {
     }
 
     /// Parks the caller until the service stops (a `/quitquitquit`
-    /// request), then drains and joins everything.
+    /// request), then drains and tears down.
     ///
     /// # Errors
     ///
@@ -187,7 +250,7 @@ impl QueryService {
         self.teardown()
     }
 
-    /// Stops accepting, drains in-flight work, joins all threads.
+    /// Stops accepting, lets live connections finish, closes admission.
     ///
     /// # Errors
     ///
@@ -209,15 +272,13 @@ impl QueryService {
     fn teardown(&mut self) -> io::Result<Option<Anomaly>> {
         self.torn_down = true;
         // Let live connections finish their current exchanges; after
-        // the deadline, any straggler sheds against the closed queues.
+        // the deadline, any straggler sheds against the closed
+        // dispatcher.
         let deadline = Instant::now() + DRAIN_DEADLINE;
         while self.active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         self.dispatcher.close();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
         self.dispatcher.finish_flight()
     }
 }
@@ -239,25 +300,26 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> io::Result<()> {
     // keep-alive exchange even on loopback.
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    // One reply channel reused for every query on this connection: the
-    // connection blocks on it, so at most one answer is in flight.
-    let (reply_tx, reply_rx) = sync_channel::<String>(1);
     loop {
-        let Some(request) = read_request(&mut reader)? else {
-            return Ok(());
+        let request = match read_request(&mut reader) {
+            Ok(Some(request)) => request,
+            Ok(None) => return Ok(()),
+            Err(e) => {
+                // An oversized head is answered, then the connection
+                // closes: the rest of it is never read.
+                if let Some(refusal) = HeadTooLarge::of(&e) {
+                    shared.counters.error("request-too-large");
+                    shared.counters.request("other", refusal.status());
+                    write_response(&mut stream, &refusal.response(), false)?;
+                }
+                return Err(e);
+            }
         };
         let (path, query_string) = request
             .target
             .split_once('?')
             .unwrap_or((request.target.as_str(), ""));
-        let response = respond(
-            shared,
-            &request.method,
-            path,
-            query_string,
-            &reply_tx,
-            &reply_rx,
-        );
+        let response = respond(shared, &request.method, path, query_string);
         let endpoint = match path {
             "/distance" => "distance",
             "/route" => "route",
@@ -267,21 +329,11 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> io::Result<()> {
             // Unknown paths share one label to keep cardinality bounded.
             _ => "other",
         };
-        shared
-            .registry
-            .counter_with(
-                "dbr_service_requests_total",
-                "Service requests, by endpoint and status.",
-                &[
-                    ("endpoint", endpoint),
-                    ("status", &response.status.to_string()),
-                ],
-            )
-            .inc();
+        shared.counters.request(endpoint, response.status);
         write_response(&mut stream, &response, request.keep_alive)?;
         if path == "/quitquitquit" {
             // Stop accepting after the response is on the wire; the
-            // owner's block()/teardown drains and joins the rest.
+            // owner's block()/teardown drains the rest.
             shared.stop.store(true, Ordering::SeqCst);
             let _ = TcpStream::connect(shared.addr);
             return Ok(());
@@ -292,16 +344,9 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> io::Result<()> {
     }
 }
 
-fn respond(
-    shared: &Shared,
-    method: &str,
-    path: &str,
-    query_string: &str,
-    reply_tx: &SyncSender<String>,
-    reply_rx: &Receiver<String>,
-) -> HttpResponse {
+fn respond(shared: &Shared, method: &str, path: &str, query_string: &str) -> HttpResponse {
     if method != "GET" {
-        count_error(shared, "method");
+        shared.counters.error("method");
         return HttpResponse::json_error(405, "method", "only GET is supported");
     }
     let kind = match path {
@@ -318,7 +363,7 @@ fn respond(
         "/healthz" => return HttpResponse::ok("ok\n"),
         "/quitquitquit" => return HttpResponse::ok("shutting down\n"),
         _ => {
-            count_error(shared, "unknown-endpoint");
+            shared.counters.error("unknown-endpoint");
             return HttpResponse::json_error(
                 404,
                 "unknown-endpoint",
@@ -329,38 +374,28 @@ fn respond(
     let query = match parse_query(shared.dispatcher.config().d, kind, query_string) {
         Ok(query) => query,
         Err(e) => {
-            count_error(shared, e.kind);
+            shared.counters.error(e.kind);
             return HttpResponse::json_error(400, e.kind, &e.detail);
         }
     };
-    match shared.dispatcher.submit(query, reply_tx.clone()) {
-        Err(_) => HttpResponse::overloaded(shared.dispatcher.config().retry_after_secs),
-        Ok(_) => match reply_rx.recv() {
-            Ok(body) => HttpResponse::ok(body),
-            // The worker vanished mid-query (panic or forced teardown).
-            Err(_) => {
-                count_error(shared, "internal");
-                HttpResponse::json_error(500, "internal", "worker unavailable")
-            }
-        },
+    let Ok(admission) = shared.dispatcher.admit(query) else {
+        return HttpResponse::overloaded(shared.dispatcher.config().retry_after_secs);
+    };
+    match admission.answer() {
+        Some(body) => HttpResponse::ok(body),
+        // The solve panicked; its shard was reset and stays usable.
+        None => {
+            shared.counters.error("internal");
+            HttpResponse::json_error(500, "internal", "the answer failed")
+        }
     }
-}
-
-fn count_error(shared: &Shared, kind: &str) {
-    shared
-        .registry
-        .counter_with(
-            "dbr_service_errors_total",
-            "Rejected service requests, by error kind.",
-            &[("kind", kind)],
-        )
-        .inc();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::ScrapeServer;
+    use std::io::{Read, Write};
 
     fn service(workers: usize) -> (QueryService, Arc<MetricsRegistry>) {
         let registry = Arc::new(MetricsRegistry::new());
@@ -389,6 +424,42 @@ mod tests {
             "{metrics}"
         );
         service.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_panicking_answer_is_a_500_and_the_shard_keeps_serving() {
+        let (service, registry) = service(1);
+        let addr = service.local_addr();
+        service.dispatcher().panic_next_answer();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(b"GET /distance?x=0110&y=1011 HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 500 "), "{response}");
+        assert!(
+            response.ends_with("{\"error\":\"internal\",\"detail\":\"the answer failed\"}\n"),
+            "{response}"
+        );
+        // The same shard answers the next query correctly.
+        assert_eq!(
+            ScrapeServer::get(addr, "/distance?x=0110&y=1011").unwrap(),
+            "1\n"
+        );
+        service.shutdown().unwrap();
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter_value("dbr_service_errors_total", &[("kind", "internal")]),
+            Some(1)
+        );
+        assert_eq!(
+            snap.counter_value(
+                "dbr_service_requests_total",
+                &[("endpoint", "distance"), ("status", "500")]
+            ),
+            Some(1)
+        );
     }
 
     #[test]

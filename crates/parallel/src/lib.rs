@@ -21,9 +21,8 @@
 //! Worker panics propagate to the caller (via `std::thread::scope`), so a
 //! panicking item behaves the same single- or multi-threaded.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 /// Resolves a requested thread count: `0` means "use the machine's
 /// available parallelism", anything else is taken literally.
@@ -346,129 +345,6 @@ impl TickBarrier {
     }
 }
 
-/// A bounded multi-producer job queue with batch drain — the admission
-/// and batching primitive for thread-per-core service pools.
-///
-/// Producers [`try_push`] and are *rejected* (never blocked) when the
-/// queue is full: the caller decides what load shedding looks like
-/// (an HTTP `503`, a dropped message). The consumer [`drain_into`]s up
-/// to a batch of items per wakeup, so one mutex/condvar round trip is
-/// amortized over the whole batch instead of paid per item. FIFO order
-/// is preserved across the batch boundary.
-///
-/// [`close`] wakes the consumer and fails subsequent pushes; items
-/// already queued stay drainable, so shutdown is a *clean drain* — no
-/// accepted work is lost.
-///
-/// [`try_push`]: BoundedQueue::try_push
-/// [`drain_into`]: BoundedQueue::drain_into
-/// [`close`]: BoundedQueue::close
-///
-/// # Examples
-///
-/// ```
-/// use debruijn_parallel::BoundedQueue;
-///
-/// let q = BoundedQueue::new(2);
-/// assert_eq!(q.try_push(1), Ok(1));
-/// assert_eq!(q.try_push(2), Ok(2));
-/// assert_eq!(q.try_push(3), Err(3), "full queue sheds");
-/// q.close();
-/// let mut batch = Vec::new();
-/// assert!(q.drain_into(&mut batch, 8), "queued items survive close");
-/// assert_eq!(batch, vec![1, 2]);
-/// assert!(!q.drain_into(&mut batch, 8), "closed and empty");
-/// ```
-#[derive(Debug)]
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    ready: Condvar,
-    capacity: usize,
-}
-
-#[derive(Debug)]
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-impl<T> BoundedQueue<T> {
-    /// A queue holding at most `capacity` items (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            state: Mutex::new(QueueState {
-                items: VecDeque::with_capacity(capacity.min(4096)),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// The configured bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue lock").items.len()
-    }
-
-    /// Whether the queue holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Enqueues `item`, returning the queue depth after the push, or
-    /// hands the item back when the queue is full or closed. Never
-    /// blocks — rejection is the backpressure signal.
-    #[allow(clippy::result_large_err)]
-    pub fn try_push(&self, item: T) -> Result<usize, T> {
-        let mut state = self.state.lock().expect("queue lock");
-        if state.closed || state.items.len() >= self.capacity {
-            return Err(item);
-        }
-        state.items.push_back(item);
-        let depth = state.items.len();
-        drop(state);
-        self.ready.notify_one();
-        Ok(depth)
-    }
-
-    /// Blocks until at least one item is queued (or the queue is
-    /// closed), then moves up to `max` items into `out` in FIFO order.
-    /// Returns `false` only when the queue is closed *and* empty — the
-    /// consumer's signal to exit after a clean drain.
-    pub fn drain_into(&self, out: &mut Vec<T>, max: usize) -> bool {
-        let max = max.max(1);
-        let mut state = self.state.lock().expect("queue lock");
-        while state.items.is_empty() {
-            if state.closed {
-                return false;
-            }
-            state = self.ready.wait(state).expect("queue lock");
-        }
-        let take = state.items.len().min(max);
-        out.extend(state.items.drain(..take));
-        true
-    }
-
-    /// Closes the queue: wakes blocked consumers and fails every
-    /// subsequent [`try_push`](BoundedQueue::try_push). Already-queued
-    /// items remain drainable.
-    pub fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Whether [`close`](BoundedQueue::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue lock").closed
-    }
-}
-
 /// Accumulated barrier-wait accounting for one worker, filled by
 /// [`TickBarrier::sync_min_timed`]: how long (and how busily) the
 /// worker sat at the rendezvous waiting for its slowest peer. This is
@@ -689,106 +565,6 @@ mod tests {
                 yields: 1,
                 rounds: 10,
             }
-        );
-    }
-
-    #[test]
-    fn bounded_queue_sheds_at_capacity_and_preserves_fifo_order() {
-        let q = BoundedQueue::new(3);
-        assert_eq!(q.capacity(), 3);
-        assert_eq!(q.try_push("a"), Ok(1));
-        assert_eq!(q.try_push("b"), Ok(2));
-        assert_eq!(q.try_push("c"), Ok(3));
-        assert_eq!(q.try_push("d"), Err("d"));
-        assert_eq!(q.len(), 3);
-        let mut batch = Vec::new();
-        assert!(q.drain_into(&mut batch, 2));
-        assert_eq!(batch, vec!["a", "b"]);
-        // Shedding freed a slot; the queue accepts again.
-        assert_eq!(q.try_push("e"), Ok(2));
-        batch.clear();
-        assert!(q.drain_into(&mut batch, 10));
-        assert_eq!(batch, vec!["c", "e"]);
-    }
-
-    #[test]
-    fn bounded_queue_close_drains_cleanly_then_reports_exhaustion() {
-        let q = BoundedQueue::new(8);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        q.close();
-        assert!(q.is_closed());
-        assert_eq!(q.try_push(3), Err(3), "closed queue rejects producers");
-        let mut batch = Vec::new();
-        assert!(q.drain_into(&mut batch, 100), "accepted work is kept");
-        assert_eq!(batch, vec![1, 2]);
-        assert!(!q.drain_into(&mut batch, 100), "closed and empty");
-        assert_eq!(batch, vec![1, 2], "exhausted drain appends nothing");
-    }
-
-    #[test]
-    fn bounded_queue_wakes_a_blocked_consumer_on_close() {
-        let q = std::sync::Arc::new(BoundedQueue::<u32>::new(4));
-        let consumer = {
-            let q = std::sync::Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut batch = Vec::new();
-                // Blocks until the producer side closes, then exits.
-                q.drain_into(&mut batch, 8)
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.close();
-        assert!(!consumer.join().unwrap());
-    }
-
-    #[test]
-    fn bounded_queue_concurrent_producers_lose_no_accepted_item() {
-        let q = std::sync::Arc::new(BoundedQueue::new(64));
-        let accepted = std::sync::Arc::new(AtomicUsize::new(0));
-        let consumed: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for p in 0..4 {
-                let q = std::sync::Arc::clone(&q);
-                let accepted = std::sync::Arc::clone(&accepted);
-                scope.spawn(move || {
-                    for i in 0..100 {
-                        if q.try_push(p * 100 + i).is_ok() {
-                            accepted.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    // Producers may outpace the consumer; shed items
-                    // are simply not counted.
-                });
-            }
-            scope.spawn(|| {
-                let mut batch = Vec::new();
-                loop {
-                    batch.clear();
-                    if !q.drain_into(&mut batch, 16) {
-                        break;
-                    }
-                    consumed.lock().unwrap().extend(batch.iter().copied());
-                    // A batch never exceeds the requested maximum.
-                    assert!(batch.len() <= 16);
-                }
-            });
-            // Give producers time to finish before closing.
-            while accepted.load(Ordering::Relaxed) == 0 {
-                std::thread::yield_now();
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            q.close();
-        });
-        let consumed = consumed.into_inner().unwrap();
-        // Some items may remain queued if close raced the consumer;
-        // drain them for the accounting check.
-        let mut rest = Vec::new();
-        while q.drain_into(&mut rest, 64) {}
-        assert_eq!(
-            consumed.len() + rest.len(),
-            accepted.load(Ordering::Relaxed),
-            "every accepted item is consumed exactly once"
         );
     }
 

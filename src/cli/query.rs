@@ -210,22 +210,20 @@ pub fn batch_pairs(d: u8, lines: &[(usize, &str)]) -> Result<Vec<(Word, Word)>, 
 }
 
 /// `dbr serve <d> [--listen ADDR] [--threads N] [--cache-capacity N]
-/// [--max-inflight N] [--batch B] [--flight-dump FILE]`: a standing
-/// thread-per-core route/distance query service with `/metrics`.
+/// [--max-inflight N] [--flight-dump FILE]`: a standing route/distance
+/// query service with `/metrics`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Serve {
     /// Digit radix served.
     pub d: u8,
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub listen: String,
-    /// Worker threads / cache shards (0 = one per core).
+    /// Route-cache shards (0 = one per core).
     pub threads: usize,
     /// Total route-cache capacity split across shards (0 disables).
     pub cache_capacity: usize,
-    /// Per-worker queue bound; overflow is shed with 503.
+    /// Per-shard bound on unanswered queries; overflow is shed with 503.
     pub max_inflight: usize,
-    /// Maximum queries a worker answers per wakeup.
-    pub batch: usize,
     /// Arm the queue-depth flight recorder, dumping the pre-overload
     /// window to this JSONL file.
     pub flight_dump: Option<String>,
@@ -239,17 +237,12 @@ impl Serve {
         if max_inflight == 0 {
             return Err("--max-inflight must be at least 1".into());
         }
-        let batch = args.num("--batch")?.unwrap_or(32);
-        if batch == 0 {
-            return Err("--batch must be at least 1".into());
-        }
         Ok(Self {
             d: parse_radix(d)?,
             listen: args.value("--listen").unwrap_or("127.0.0.1:0").to_string(),
             threads: args.num("--threads")?.unwrap_or(0),
             cache_capacity: args.num("--cache-capacity")?.unwrap_or(4096),
             max_inflight,
-            batch,
             flight_dump: args.string("--flight-dump"),
         })
     }
@@ -261,7 +254,6 @@ impl Serve {
             d,
             cache_capacity,
             max_inflight,
-            batch,
             ..
         } = self;
         let registry = Arc::new(MetricsRegistry::new());
@@ -270,12 +262,11 @@ impl Serve {
             workers: self.threads,
             cache_capacity,
             max_inflight,
-            batch,
             ..ServiceConfig::new(d)
         };
         let mut dispatcher = Dispatcher::new(config, Arc::clone(&registry));
         if let Some(path) = &self.flight_dump {
-            // Trip exactly when a worker queue first fills (the moment
+            // Trip exactly when a shard first fills (the moment
             // shedding starts) and freeze the pre-overload admission
             // window as `dbr trace`-readable JSONL.
             let triggers = AnomalyTriggers {
@@ -292,8 +283,8 @@ impl Serve {
             .map_err(|e| format!("cannot listen on '{listen}': {e}"))?;
         eprintln!("listening on http://{}/metrics", service.local_addr());
         println!(
-            "serving radix-{d} route/distance queries on http://{} ({} workers, \
-             cache {cache_capacity}, max-inflight {max_inflight}, batch {batch})",
+            "serving radix-{d} route/distance queries on http://{} ({} shards, \
+             cache {cache_capacity}, max-inflight {max_inflight})",
             service.local_addr(),
             service.dispatcher().workers(),
         );
