@@ -18,9 +18,9 @@
 # unprofiled run while asserting profiling perturbs no output
 # (--max-profile-overhead-pct, see docs/OBSERVABILITY.md "Profiling
 # the engine"). The query-service bench likewise self-gates: the
-# sharded+batched service must beat the shared-cache unbatched
-# baseline on QPS (--min-qps-ratio; self-skipped on single-core hosts
-# where the worker pool cannot express parallelism). Speedup and QPS
+# four-shard service must beat the one-shard baseline on QPS
+# (--min-qps-ratio; self-skipped on single-core hosts, where no two
+# connection threads contend for a shard lock). Speedup and QPS
 # are higher-is-better series, so those benches are compared ns-only
 # (--ns-only) under bench_check's lower-is-better rule. The monitor
 # bench self-gates identifying-code fault monitors to at most 2%
