@@ -137,6 +137,15 @@ cp "$smoke_dir/shard.jsonl" "$smoke_dir/shard11.jsonl"
 cmp "$smoke_dir/shard11.txt" "$smoke_dir/shard44.txt"
 cmp "$smoke_dir/shard11.jsonl" "$smoke_dir/shard.jsonl"
 echo "1 shard / 1 thread and 4 shards / 4 threads agree byte for byte"
+# A Zipf burst dense enough that shard pairs exchange thousands of
+# entries per window (the bounded ring mailboxes of earlier versions
+# spilled tens of thousands of them here).
+./target/release/dbr simulate 2 10 --messages 50000 --workload zipf \
+    --shards 1 --threads 1 --metrics > "$smoke_dir/burst11.txt"
+./target/release/dbr simulate 2 10 --messages 50000 --workload zipf \
+    --shards 8 --threads 2 --metrics > "$smoke_dir/burst82.txt"
+cmp "$smoke_dir/burst11.txt" "$smoke_dir/burst82.txt"
+echo "a 50,000-message zipf burst agrees at 1x1 and 8 shards / 2 threads"
 
 echo "== next-hop tier smoke =="
 # The compressed shift-prediction tier must reproduce the dense

@@ -166,7 +166,11 @@ impl DeBruijn {
 /// `X⁻(a) = (x_2, …, x_k, a)` has rank `(rank·d + a) mod d^k` and
 /// `X⁺(a) = (a, x_1, …, x_{k−1})` has rank `a·d^{k−1} + ⌊rank/d⌋`. This is
 /// what lets simulator hot loops route without allocating a [`Word`] per
-/// message.
+/// message. When `d` is a power of two the digit arithmetic is shifts
+/// and masks; other radixes divide.
+///
+/// Ports number the shifts as the next-hop tables do: port `a < d` is
+/// `X⁻(a)` and port `d + a` is `X⁺(a)`.
 ///
 /// # Examples
 ///
@@ -191,17 +195,21 @@ pub struct RankSpace {
     order: u64,
     /// `d^{k−1}`, the weight of the most significant digit.
     msd: u64,
+    /// `log2 d` when `d` is a power of two, else 0 (division form).
+    bits: u32,
 }
 
 impl RankSpace {
     /// Wraps `space`, or `None` if `d^k` does not fit in `u64`.
     pub fn new(space: DeBruijn) -> Option<Self> {
-        let order = u64::from(space.d()).checked_pow(u32::try_from(space.k()).ok()?)?;
+        let d = u64::from(space.d());
+        let order = d.checked_pow(u32::try_from(space.k()).ok()?)?;
         Some(Self {
             space,
-            d: u64::from(space.d()),
+            d,
             order,
-            msd: order / u64::from(space.d()),
+            msd: order / d,
+            bits: if d.is_power_of_two() { d.ilog2() } else { 0 },
         })
     }
 
@@ -223,7 +231,11 @@ impl RankSpace {
     #[inline]
     pub fn shift_left(&self, id: u64, a: u8) -> u64 {
         debug_assert!(id < self.order && u64::from(a) < self.d);
-        (id % self.msd) * self.d + u64::from(a)
+        if self.bits != 0 {
+            ((id & (self.msd - 1)) << self.bits) | u64::from(a)
+        } else {
+            (id % self.msd) * self.d + u64::from(a)
+        }
     }
 
     /// Rank of the type-R neighbor `X⁺(a)`.
@@ -234,7 +246,43 @@ impl RankSpace {
     #[inline]
     pub fn shift_right(&self, id: u64, a: u8) -> u64 {
         debug_assert!(id < self.order && u64::from(a) < self.d);
-        u64::from(a) * self.msd + id / self.d
+        let rest = if self.bits != 0 {
+            id >> self.bits
+        } else {
+            id / self.d
+        };
+        u64::from(a) * self.msd + rest
+    }
+
+    /// The smallest port that reaches the same neighbor as `port` does
+    /// from `id`. Shifts of one type never coincide (they differ in the
+    /// digit they bring in), and every left port is below every right
+    /// one, so only a right port `d + b` can have a smaller alias: the
+    /// left shift whose new last digit is the last digit of `X⁺(b)`.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts `id < d^k` and `port < 2d`.
+    #[inline]
+    pub fn canonical_port(&self, id: u64, port: u8) -> u8 {
+        debug_assert!(u64::from(port) < 2 * self.d);
+        let d = self.space.d();
+        if port < d {
+            return port;
+        }
+        let next = self.shift_right(id, port - d);
+        let last = if self.bits != 0 {
+            next & (self.d - 1)
+        } else {
+            next % self.d
+        };
+        // `last < d`, so the narrowing is lossless.
+        let a = last as u8;
+        if self.shift_left(id, a) == next {
+            a
+        } else {
+            port
+        }
     }
 }
 
@@ -387,6 +435,53 @@ mod tests {
         assert!(g.contains(&Word::parse(2, "010").unwrap()));
         assert!(!g.contains(&Word::parse(2, "01").unwrap()));
         assert!(!g.contains(&Word::parse(3, "010").unwrap()));
+    }
+
+    /// The shift-and-mask shifts equal the division forms, and the O(1)
+    /// canonical port equals the first port (in port order) that reaches
+    /// the same neighbor: every rank at small `k` (including `k = 1`),
+    /// sampled ranks at the largest `k` whose `d^k` fits a `u64`.
+    #[test]
+    fn rank_shifts_and_canonical_ports_match_the_division_forms() {
+        let mut rng = crate::rng::SplitMix64::new(0x5EED);
+        for d in [2u8, 3, 4, 5, 8, 16] {
+            let wide = u64::from(d);
+            let max_k = (1..)
+                .take_while(|&k| wide.checked_pow(k).is_some())
+                .last()
+                .expect("d^1 fits");
+            let mut cases: Vec<(u32, Vec<u64>)> = (1..)
+                .take_while(|&k| wide.pow(k) <= 4096)
+                .map(|k| (k, (0..wide.pow(k)).collect()))
+                .collect();
+            let order = wide.pow(max_k);
+            let mut sampled: Vec<u64> = (0..2000).map(|_| rng.below_u64(order)).collect();
+            sampled.extend([0, 1, order / 2, order - 2, order - 1]);
+            cases.push((max_k, sampled));
+            for (k, ids) in cases {
+                let ranks = RankSpace::new(DeBruijn::new(d, k as usize).unwrap()).unwrap();
+                let msd = wide.pow(k - 1);
+                let left = |id: u64, a: u8| (id % msd) * wide + u64::from(a);
+                let right = |id: u64, a: u8| u64::from(a) * msd + id / wide;
+                let target = |id: u64, p: u8| if p < d { left(id, p) } else { right(id, p - d) };
+                for id in ids {
+                    for a in 0..d {
+                        assert_eq!(ranks.shift_left(id, a), left(id, a), "d={d} k={k} {id}");
+                        assert_eq!(ranks.shift_right(id, a), right(id, a), "d={d} k={k} {id}");
+                    }
+                    for port in 0..2 * d {
+                        let first = (0..2 * d)
+                            .find(|&p| target(id, p) == target(id, port))
+                            .expect("the port itself matches");
+                        assert_eq!(
+                            ranks.canonical_port(id, port),
+                            first,
+                            "d={d} k={k} id={id} port={port}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

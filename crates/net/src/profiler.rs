@@ -3,7 +3,7 @@
 //!
 //! The metrics layer counts *simulation* events (hops, drops, queue
 //! waits in simulated ticks); nothing in it can say whether a flat
-//! `speedup_vs_1_thread` is barrier wait, mailbox overflow, or genuine
+//! `speedup_vs_1_thread` is barrier wait, mailbox traffic, or genuine
 //! compute imbalance. This module is the engine-side observatory:
 //!
 //! * **Phase timers** — each worker accumulates wall-clock nanoseconds
@@ -46,9 +46,10 @@ use crate::telemetry::LogHistogram;
 /// One phase of the sharded engine's windowed loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Draining inbound SPSC mailboxes into the shard queue.
+    /// Draining what the previous window sent to the shard into its
+    /// tick queue.
     Mailbox,
-    /// Restoring a tick batch to message-id order (natural-run merge).
+    /// Restoring a tick batch to message-id order.
     Merge,
     /// Processing flights: forwarding, link booking, event recording.
     Compute,
@@ -251,8 +252,6 @@ pub struct ShardProf {
     /// Flight steps processed (deterministic — a pure function of the
     /// workload and shard count, unlike the timers).
     pub steps: u64,
-    /// Outbound mailbox pushes that spilled to the overflow sidecar.
-    pub overflows: u64,
 }
 
 /// What one shard hands the profiler at end of run (deterministic
@@ -261,7 +260,6 @@ pub struct ShardProf {
 pub(crate) struct ShardMeta {
     pub(crate) sid: usize,
     pub(crate) steps: u64,
-    pub(crate) overflows: u64,
     pub(crate) spans: Vec<HopSpan>,
     pub(crate) deliveries: Vec<SampledDelivery>,
 }
@@ -386,7 +384,6 @@ impl ProfShared {
         for meta in metas {
             if let Some(sp) = shard_profs.get_mut(meta.sid) {
                 sp.steps = meta.steps;
-                sp.overflows = meta.overflows;
             }
             spans.extend(meta.spans);
             deliveries.extend(meta.deliveries);
@@ -515,9 +512,11 @@ impl EngineProfile {
             .collect()
     }
 
-    /// Mailbox pushes that spilled to the overflow sidecar, all shards.
+    /// Mailbox pushes that spilled past a bounded mailbox: always 0,
+    /// since each window's mailbox buffers grow to its traffic. Kept
+    /// for callers that still report the count.
     pub fn mailbox_overflows(&self) -> u64 {
-        self.shard_profs.iter().map(|s| s.overflows).sum()
+        0
     }
 
     /// Flight steps processed, all shards.
@@ -670,23 +669,21 @@ impl EngineProfile {
             );
             let _ = writeln!(out, "{}", line.trim_end());
         }
-        let _ = writeln!(out, "mailbox overflow spills: {}", self.mailbox_overflows());
         let _ = writeln!(
             out,
-            "{:<6} {:>6} {:>12} {:>12} {:>12} {:>12} {:>10}",
-            "shard", "worker", "steps", "compute", "mailbox", "merge", "overflow"
+            "{:<6} {:>6} {:>12} {:>12} {:>12} {:>12}",
+            "shard", "worker", "steps", "compute", "mailbox", "merge"
         );
         for sp in &self.shard_profs {
             let _ = writeln!(
                 out,
-                "{:<6} {:>6} {:>12} {:>12} {:>12} {:>12} {:>10}",
+                "{:<6} {:>6} {:>12} {:>12} {:>12} {:>12}",
                 sp.sid,
                 sp.worker,
                 sp.steps,
                 fmt_ns(sp.compute_nanos),
                 fmt_ns(sp.mailbox_nanos),
-                fmt_ns(sp.merge_nanos),
-                sp.overflows
+                fmt_ns(sp.merge_nanos)
             );
         }
         let _ = writeln!(
@@ -774,15 +771,14 @@ impl EngineProfile {
             let _ = write!(
                 out,
                 "{}{{\"sid\":{},\"worker\":{},\"steps\":{},\"compute_ns\":{},\
-                 \"mailbox_ns\":{},\"merge_ns\":{},\"overflows\":{}}}",
+                 \"mailbox_ns\":{},\"merge_ns\":{}}}",
                 if i == 0 { "" } else { "," },
                 sp.sid,
                 sp.worker,
                 sp.steps,
                 sp.compute_nanos,
                 sp.mailbox_nanos,
-                sp.merge_nanos,
-                sp.overflows
+                sp.merge_nanos
             );
         }
         out.push_str("],\n  \"barrier\": [");
@@ -827,11 +823,7 @@ impl EngineProfile {
                 p.delivered
             );
         }
-        let _ = writeln!(
-            out,
-            "],\n  \"mailbox_overflows\": {}\n}}",
-            self.mailbox_overflows()
-        );
+        out.push_str("]\n}\n");
         out
     }
 
@@ -877,8 +869,8 @@ impl EngineProfile {
 
     /// Publishes the profile into a [`MetricsRegistry`] as labeled
     /// families: `dbr_engine_phase_nanos_total{phase=…}` counters,
-    /// `dbr_engine_phase_lap_ns{phase=…}` lap histograms, window /
-    /// overflow / sampling counters.
+    /// `dbr_engine_phase_lap_ns{phase=…}` lap histograms, window and
+    /// sampling counters.
     pub fn export_to(&self, registry: &MetricsRegistry) {
         for (phase, ns) in self.phase_totals() {
             registry
@@ -904,12 +896,6 @@ impl EngineProfile {
                 "Barrier windows crossed by the sharded engine.",
             )
             .add(self.windows);
-        registry
-            .counter(
-                "dbr_engine_mailbox_overflow_total",
-                "Mailbox pushes that spilled to the overflow sidecar.",
-            )
-            .add(self.mailbox_overflows());
         registry
             .counter(
                 "dbr_engine_sampled_messages_total",
@@ -1122,7 +1108,6 @@ mod tests {
             "\"barrier\": [",
             "\"imbalance\": {",
             "\"critical_paths\": [",
-            "\"mailbox_overflows\": 0",
         ] {
             assert!(json.contains(needle), "missing {needle:?} in:\n{json}");
         }
@@ -1171,7 +1156,6 @@ mod tests {
             "dbr_engine_phase_nanos_total{phase=\"compute\"} 800",
             "dbr_engine_phase_lap_ns",
             "dbr_engine_windows_total 3",
-            "dbr_engine_mailbox_overflow_total 0",
             "dbr_engine_sampled_messages_total 1",
             "dbr_engine_sampled_spans_total 1",
         ] {

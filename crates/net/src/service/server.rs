@@ -16,10 +16,11 @@
 //! connections finish, close admission — how `dbr serve` gets an
 //! end-of-run metrics dump and CI gets a deterministic teardown).
 
+use std::collections::HashMap;
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -116,13 +117,56 @@ impl RequestCounters {
     }
 }
 
+/// The live connections, each with a handle on its socket: their count
+/// bounds new connections and tells teardown when all have ended, and
+/// the handles let teardown end the reads of idle keep-alive
+/// connections instead of waiting out their timeout.
+#[derive(Default)]
+struct LiveStreams {
+    next: AtomicUsize,
+    streams: Mutex<HashMap<usize, TcpStream>>,
+}
+
+impl LiveStreams {
+    /// Records a handle on `stream`; `None` if it cannot be cloned.
+    fn register(&self, stream: &TcpStream) -> Option<usize> {
+        let handle = stream.try_clone().ok()?;
+        let id = self.next.fetch_add(1, Ordering::Relaxed);
+        self.lock().insert(id, handle);
+        Some(id)
+    }
+
+    fn release(&self, id: usize) {
+        self.lock().remove(&id);
+    }
+
+    fn count(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Shuts down the read half of every live connection: a connection
+    /// waiting for its next request reads end-of-stream and closes, and
+    /// one mid-exchange still writes its answer.
+    fn close_reads(&self) {
+        for stream in self.lock().values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<usize, TcpStream>> {
+        // Every update is one insert or remove, so the map stays valid
+        // even if a holder panicked.
+        self.streams.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Shared state every connection thread needs.
 struct Shared {
     dispatcher: Arc<Dispatcher>,
     registry: Arc<MetricsRegistry>,
     counters: RequestCounters,
     stop: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
+    live: Arc<LiveStreams>,
     addr: SocketAddr,
 }
 
@@ -147,7 +191,7 @@ pub struct QueryService {
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
     dispatcher: Arc<Dispatcher>,
-    active: Arc<AtomicUsize>,
+    live: Arc<LiveStreams>,
     torn_down: bool,
 }
 
@@ -181,13 +225,13 @@ impl QueryService {
         let local = listener.local_addr()?;
         let dispatcher = Arc::new(dispatcher);
         let stop = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
+        let live = Arc::new(LiveStreams::default());
         let shared = Arc::new(Shared {
             dispatcher: Arc::clone(&dispatcher),
             counters: RequestCounters::new(Arc::clone(&registry)),
             registry,
             stop: Arc::clone(&stop),
-            active: Arc::clone(&active),
+            live: Arc::clone(&live),
             addr: local,
         });
         let accept = std::thread::Builder::new()
@@ -198,22 +242,28 @@ impl QueryService {
                         break;
                     }
                     let Ok(mut stream) = conn else { continue };
-                    if shared.active.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                    if shared.live.count() >= MAX_CONNECTIONS {
                         let retry = shared.dispatcher.config().retry_after_secs;
                         let _ =
                             write_response(&mut stream, &HttpResponse::overloaded(retry), false);
                         continue;
                     }
-                    shared.active.fetch_add(1, Ordering::SeqCst);
+                    // Registered here, before the accept loop can end, so
+                    // teardown (which runs after it ends) sees every one.
+                    // A socket that cannot be cloned is dropped, as one
+                    // whose thread cannot be spawned is.
+                    let Some(id) = shared.live.register(&stream) else {
+                        continue;
+                    };
                     let conn_shared = Arc::clone(&shared);
                     let spawned = std::thread::Builder::new()
                         .name("dbr-serve-conn".to_string())
                         .spawn(move || {
                             let _ = serve_connection(&conn_shared, stream);
-                            conn_shared.active.fetch_sub(1, Ordering::SeqCst);
+                            conn_shared.live.release(id);
                         });
                     if spawned.is_err() {
-                        shared.active.fetch_sub(1, Ordering::SeqCst);
+                        shared.live.release(id);
                     }
                 }
             })?;
@@ -222,7 +272,7 @@ impl QueryService {
             stop,
             accept: Some(accept),
             dispatcher,
-            active,
+            live,
             torn_down: false,
         })
     }
@@ -271,11 +321,12 @@ impl QueryService {
 
     fn teardown(&mut self) -> io::Result<Option<Anomaly>> {
         self.torn_down = true;
-        // Let live connections finish their current exchanges; after
-        // the deadline, any straggler sheds against the closed
-        // dispatcher.
+        // Idle connections close at once; the rest finish their current
+        // exchanges. After the deadline, any straggler sheds against
+        // the closed dispatcher.
+        self.live.close_reads();
         let deadline = Instant::now() + DRAIN_DEADLINE;
-        while self.active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+        while self.live.count() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         self.dispatcher.close();

@@ -21,22 +21,23 @@
 //!   Every link has lookahead `L = service + latency ≥ 1` ticks, so a
 //!   message forwarded at tick `T` cannot arrive before `T + L`:
 //!   each worker processes the whole window `[T, T + L)` with no
-//!   coordination, exchanges cross-shard messages through fixed-
-//!   capacity SPSC ring mailboxes (single producer and single consumer
-//!   per `(src, dst)` shard pair — no locks on the fast path, a
-//!   mutexed sidecar absorbs overflow), and agrees on the next window
-//!   at a spinning [`TickBarrier`](debruijn_parallel::TickBarrier).
+//!   coordination, sends cross-shard messages through per-`(src, dst)`
+//!   mailboxes of two plain buffers each (the current window's and the
+//!   previous one's — no locks, no atomics, no bound), and agrees on
+//!   the next window at a spinning
+//!   [`TickBarrier`](debruijn_parallel::TickBarrier), which also hands
+//!   each window's mailbox contents to their readers.
 //! * **Bit-for-bit determinism**: each tick's batch is restored to
-//!   message-id order before processing (a natural-run merge — pushes
-//!   arrive as pre-sorted runs, so an already-ordered batch costs one
-//!   scan), mailboxes are drained in fixed shard order, per-shard
-//!   partial reports merge over order-independent
-//!   (sum/max/`BTreeMap`) accumulators, wildcard and multipath draws
-//!   hash the message id instead of sharing an RNG stream, and
-//!   recorded events are replayed to the [`Recorder`] in a canonical
-//!   `(tick, message)` order — so the final report, trace, and metrics
-//!   are identical for **any** `--shards`/`--threads` combination, and
-//!   the dense and compressed tiers are identical to each other.
+//!   message-id order before processing (ids are unique within a
+//!   batch, so an unstable sort fixes it), mailboxes are drained in
+//!   fixed shard order, per-shard partial reports merge over
+//!   order-independent (sum/max/`BTreeMap`) accumulators, wildcard and
+//!   multipath draws hash the message id instead of sharing an RNG
+//!   stream, and recorded events are replayed to the [`Recorder`] in a
+//!   canonical `(tick, message)` order — so the final report, trace,
+//!   and metrics are identical for **any** `--shards`/`--threads`
+//!   combination, and the dense and compressed tiers are identical to
+//!   each other.
 //!
 //! See `docs/SCALING.md` for the full architecture (mailboxes,
 //! windowed barrier, determinism proof sketch, next-hop compression)
@@ -44,9 +45,7 @@
 //! rejected.
 
 use std::cell::UnsafeCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Mutex;
 
 use debruijn_core::distance;
@@ -106,7 +105,7 @@ const MULTIPATH_SALT: u64 = 0xFFFF;
 pub struct ShardedSimulation {
     space: DeBruijn,
     config: SimConfig,
-    shards: usize,
+    partition: Partition,
     ranks: RankSpace,
     directed: bool,
     path: FastPath,
@@ -196,30 +195,112 @@ struct Flight {
     sampled: bool,
 }
 
-/// Per-tick event storage with a free-list of batch vectors, so a
-/// shard's steady-state tick processing recycles arena buffers instead
-/// of allocating.
+/// How far past its base the tick calendar indexes batches directly;
+/// later ticks wait in an ordered map, so a far-future tick allocates
+/// nothing for the gap.
+const HORIZON: u64 = 1 << 12;
+
+/// Per-tick event storage: a calendar of batches indexed from the
+/// lowest pending tick, an ordered map for ticks past the horizon, and a
+/// free-list of batch vectors, so a shard's steady-state tick processing
+/// recycles arena buffers instead of allocating.
+///
+/// Every pending tick below `base + HORIZON` has its batch in `near`, at
+/// index `tick − base`; every later one in `far`. `near` is empty only
+/// when the whole queue is, and otherwise starts with a non-empty batch,
+/// so `base` is the lowest pending tick.
 #[derive(Debug, Default)]
 struct TickQueue {
-    by_tick: BTreeMap<u64, Vec<Flight>>,
+    near: VecDeque<Vec<Flight>>,
+    base: u64,
+    far: BTreeMap<u64, Vec<Flight>>,
     pool: Vec<Vec<Flight>>,
 }
 
 impl TickQueue {
     fn push(&mut self, tick: u64, flight: Flight) {
-        use std::collections::btree_map::Entry;
-        match self.by_tick.entry(tick) {
-            Entry::Occupied(e) => e.into_mut().push(flight),
-            Entry::Vacant(v) => {
-                let mut batch = self.pool.pop().unwrap_or_default();
-                batch.push(flight);
-                v.insert(batch);
+        if self.near.is_empty() {
+            self.base = tick;
+        } else if tick < self.base {
+            self.lower_base(tick);
+        }
+        let offset = tick - self.base;
+        if offset < HORIZON {
+            let i = offset as usize;
+            if i >= self.near.len() {
+                self.near.resize_with(i + 1, Vec::new);
+            }
+            let batch = &mut self.near[i];
+            if batch.capacity() == 0 {
+                *batch = self.pool.pop().unwrap_or_default();
+            }
+            batch.push(flight);
+        } else {
+            use std::collections::btree_map::Entry;
+            match self.far.entry(tick) {
+                Entry::Occupied(e) => e.into_mut().push(flight),
+                Entry::Vacant(v) => {
+                    let mut batch = self.pool.pop().unwrap_or_default();
+                    batch.push(flight);
+                    v.insert(batch);
+                }
             }
         }
     }
 
-    fn take(&mut self, tick: u64) -> Option<Vec<Flight>> {
-        self.by_tick.remove(&tick)
+    /// Re-indexes the calendar from `tick < base`: batches at or past
+    /// `tick + HORIZON` move to the far map, and empty slots fill the
+    /// gap below the old base.
+    fn lower_base(&mut self, tick: u64) {
+        let gap = self.base - tick;
+        while !self.near.is_empty() && (self.near.len() as u64).saturating_add(gap) > HORIZON {
+            let last = self.base + self.near.len() as u64 - 1;
+            let batch = self.near.pop_back().expect("near is non-empty");
+            if !batch.is_empty() {
+                self.far.insert(last, batch);
+            }
+        }
+        if !self.near.is_empty() {
+            for _ in 0..gap {
+                self.near.push_front(Vec::new());
+            }
+        }
+        self.base = tick;
+    }
+
+    /// Removes and returns the lowest pending tick's batch if that tick
+    /// is below `limit`.
+    fn pop_before(&mut self, limit: u64) -> Option<(u64, Vec<Flight>)> {
+        if self.near.is_empty() || self.base >= limit {
+            return None;
+        }
+        let tick = self.base;
+        let batch = self.near.pop_front().expect("near is non-empty");
+        self.base = tick.wrapping_add(1);
+        // Restore the invariant: skip to the next pending tick, then pull
+        // the far batches the advanced horizon now covers.
+        while self.near.front().is_some_and(Vec::is_empty) {
+            self.near.pop_front();
+            self.base += 1;
+        }
+        if self.near.is_empty() {
+            match self.far.first_key_value() {
+                Some((&first, _)) => self.base = first,
+                None => return Some((tick, batch)),
+            }
+        }
+        let end = self.base.saturating_add(HORIZON);
+        while let Some(entry) = self.far.first_entry() {
+            if *entry.key() >= end {
+                break;
+            }
+            let i = (*entry.key() - self.base) as usize;
+            if i >= self.near.len() {
+                self.near.resize_with(i + 1, Vec::new);
+            }
+            self.near[i] = entry.remove();
+        }
+        Some((tick, batch))
     }
 
     fn recycle(&mut self, mut batch: Vec<Flight>) {
@@ -229,178 +310,132 @@ impl TickQueue {
         }
     }
 
+    /// The lowest pending tick, or `u64::MAX` when nothing is pending.
     fn next_tick(&self) -> u64 {
-        self.by_tick.keys().next().copied().unwrap_or(u64::MAX)
-    }
-}
-
-/// One `(arrival tick, flight)` ring entry, written by the producer
-/// before its release store of `tail` and read by the consumer after
-/// its acquire load of it.
-type RingSlot = UnsafeCell<MaybeUninit<(u64, Flight)>>;
-
-/// A fixed-capacity single-producer/single-consumer ring mailbox for
-/// one `(source shard, destination shard)` pair, with a mutexed sidecar
-/// for overflow.
-///
-/// The shard→worker assignment is static (`sid % workers`), so exactly
-/// one worker ever pushes to a given ring (the one owning the source
-/// shard) and exactly one ever drains it (the one owning the
-/// destination shard) — the SPSC invariant holds by construction and
-/// the fast path needs two atomics per transfer instead of a mutex per
-/// message. Entries pushed during window `W` carry arrival ticks
-/// `≥ W_end`, so whether a racing push lands in this window's drain or
-/// the next cannot change any batch at processing time (same argument
-/// as the previous mutexed mailboxes, now lock-free).
-struct SpscRing {
-    mask: usize,
-    slots: Box<[RingSlot]>,
-    /// Consumer position; only `drain_into` advances it.
-    head: AtomicUsize,
-    /// Producer position; only `push` advances it.
-    tail: AtomicUsize,
-    /// Set by the producer after a sidecar push so the consumer only
-    /// locks the mutex when something actually spilled.
-    spilled: AtomicBool,
-    overflow: Mutex<Vec<(u64, Flight)>>,
-}
-
-// SAFETY: the ring is shared across worker threads, but each slot is
-// written only by the single producer (before its release store of
-// `tail`) and read only by the single consumer (after its acquire load
-// of `tail`), so no slot is ever accessed concurrently.
-unsafe impl Send for SpscRing {}
-unsafe impl Sync for SpscRing {}
-
-impl SpscRing {
-    /// Ring capacity per mailbox: bounded so the `S × S` mailbox matrix
-    /// stays within a fixed memory budget at any shard count, and the
-    /// sidecar handles bursts beyond it.
-    fn capacity(shards: usize) -> usize {
-        ((1usize << 20) / (shards * shards))
-            .clamp(16, 256)
-            .next_power_of_two()
-    }
-
-    fn new(shards: usize) -> Self {
-        let capacity = Self::capacity(shards);
-        Self {
-            mask: capacity - 1,
-            slots: (0..capacity)
-                .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-                .collect(),
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
-            spilled: AtomicBool::new(false),
-            overflow: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Producer side: deposits one `(arrival tick, flight)` entry.
-    /// Returns whether the entry spilled to the overflow sidecar (a
-    /// timing-dependent fact — profiler accounting only, never part of
-    /// the deterministic report).
-    fn push(&self, entry: (u64, Flight)) -> bool {
-        let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) <= self.mask {
-            // SAFETY: `tail - head <= mask` means the slot is free, and
-            // only this producer writes slots at `tail`.
-            unsafe { (*self.slots[tail & self.mask].get()).write(entry) };
-            self.tail.store(tail.wrapping_add(1), Ordering::Release);
-            false
+        if self.near.is_empty() {
+            u64::MAX
         } else {
-            self.overflow.lock().expect("mailbox sidecar").push(entry);
-            self.spilled.store(true, Ordering::Release);
-            true
+            self.base
+        }
+    }
+}
+
+/// One `(source shard, destination shard)` mailbox: a plain buffer per
+/// window parity. During window `w` the source shard's worker appends
+/// to buffer `w & 1`, and the destination shard's worker drains buffer
+/// `(w + 1) & 1`, which holds what the source sent during window
+/// `w − 1`. Entries sent during a window carry arrival ticks at or past
+/// its end, so draining them at the start of the next window is in time
+/// for every tick they name. Nothing is bounded, so nothing spills.
+struct Mailbox {
+    windows: [UnsafeCell<Vec<(u64, Flight)>>; 2],
+}
+
+// SAFETY: the shard→worker assignment is static (`sid % workers`), so
+// one worker only ever appends to a mailbox's buffers (the source
+// shard's) and one worker only ever drains them (the destination
+// shard's). Within a window the two touch buffers of opposite parity.
+// Across windows every worker crosses the `TickBarrier`, whose release
+// store of its generation and the peers' acquire loads of it order the
+// producer's appends of window `w − 1` before the consumer's drain in
+// window `w`, and that drain before the producer's appends in window
+// `w + 1` to the same buffer. So no buffer is ever accessed from two
+// threads without a happens-before edge between the accesses.
+unsafe impl Sync for Mailbox {}
+
+impl Mailbox {
+    fn new() -> Self {
+        Self {
+            windows: [UnsafeCell::new(Vec::new()), UnsafeCell::new(Vec::new())],
         }
     }
 
-    /// Consumer side: moves every deposited entry into `queue`.
-    fn drain_into(&self, queue: &mut TickQueue) {
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Acquire);
-        let mut i = head;
-        while i != tail {
-            // SAFETY: entries in `head..tail` were fully written before
-            // the producer's release store of `tail`, and only this
-            // consumer reads them.
-            let (t, f) = unsafe { (*self.slots[i & self.mask].get()).assume_init_read() };
+    /// Appends one `(arrival tick, flight)` entry to the buffer of
+    /// window parity `parity`.
+    ///
+    /// # Safety
+    ///
+    /// The caller must be the worker owning the source shard, and
+    /// `parity` must be its current window's (see [`Mailbox`]).
+    unsafe fn push(&self, parity: usize, entry: (u64, Flight)) {
+        // SAFETY: per the contract, no other thread touches this buffer
+        // during the current window.
+        unsafe { (*self.windows[parity].get()).push(entry) };
+    }
+
+    /// Moves every entry of window parity `parity` into `queue`, keeping
+    /// the buffer's capacity for the next time it is filled.
+    ///
+    /// # Safety
+    ///
+    /// The caller must be the worker owning the destination shard, and
+    /// `parity` must be the previous window's (see [`Mailbox`]).
+    unsafe fn drain_into(&self, parity: usize, queue: &mut TickQueue) {
+        // SAFETY: per the contract, the producer finished this buffer
+        // before the last barrier and will not touch it before the next.
+        let buffer = unsafe { &mut *self.windows[parity].get() };
+        for (t, f) in buffer.drain(..) {
             queue.push(t, f);
-            i = i.wrapping_add(1);
-        }
-        self.head.store(tail, Ordering::Release);
-        if self.spilled.swap(false, Ordering::AcqRel) {
-            let mut sidecar = self.overflow.lock().expect("mailbox sidecar");
-            for (t, f) in sidecar.drain(..) {
-                queue.push(t, f);
-            }
         }
     }
 }
 
-/// Index of the first element of `v[start..]` that breaks the
-/// non-decreasing id run starting at `start`.
-fn run_end(v: &[Flight], start: usize) -> usize {
-    let mut end = start + 1;
-    while end < v.len() && v[end].id >= v[end - 1].id {
-        end += 1;
-    }
-    end
+/// The nodes' split into `S` contiguous rank ranges: shard `s` owns
+/// `[⌈n·s/S⌉, ⌈n·(s+1)/S⌉)`, i.e. node `x` belongs to shard
+/// `⌊x·S/n⌋`. The owner lookup divides nothing: ranks fall into
+/// power-of-two buckets no wider than the narrowest shard, so a bucket
+/// meets at most two shards, and one comparison with the second one's
+/// first rank decides.
+#[derive(Debug)]
+struct Partition {
+    /// `bases[s]`: the first rank of shard `s`; `bases[S] = n`.
+    bases: Vec<u64>,
+    /// `log2` of the bucket width.
+    shift: u32,
+    /// `first[b]`: the shard owning rank `b << shift`.
+    first: Vec<usize>,
 }
 
-/// One bottom-up pass: merges adjacent pairs of non-decreasing id runs
-/// of `input` into `output`; returns the number of runs found.
-fn merge_pass(input: &[Flight], output: &mut Vec<Flight>) -> usize {
-    output.clear();
-    output.reserve(input.len());
-    let mut runs = 0;
-    let mut i = 0;
-    while i < input.len() {
-        let mid = run_end(input, i);
-        runs += 1;
-        if mid == input.len() {
-            output.extend_from_slice(&input[i..]);
-            break;
+impl Partition {
+    /// Splits `order` ranks into `shards` ranges (`1 ≤ shards ≤ order`).
+    fn new(order: u64, shards: usize) -> Self {
+        let n = u128::from(order);
+        let s = shards as u128;
+        let bases: Vec<u64> = (0..=s).map(|sid| (n * sid).div_ceil(s) as u64).collect();
+        // Every shard is at least ⌊n/S⌋ ranks wide.
+        let shift = (order / shards as u64).ilog2();
+        let first = (0..=(order - 1) >> shift)
+            .map(|b| ((u128::from(b << shift) * s) / n) as usize)
+            .collect();
+        Self {
+            bases,
+            shift,
+            first,
         }
-        let end = run_end(input, mid);
-        runs += 1;
-        let (mut a, mut b) = (i, mid);
-        while a < mid && b < end {
-            if input[a].id <= input[b].id {
-                output.push(input[a]);
-                a += 1;
-            } else {
-                output.push(input[b]);
-                b += 1;
-            }
-        }
-        output.extend_from_slice(&input[a..mid]);
-        output.extend_from_slice(&input[b..end]);
-        i = end;
     }
-    runs
+
+    fn shards(&self) -> usize {
+        self.bases.len() - 1
+    }
+
+    /// The first rank of shard `sid` (`sid ≤ S`).
+    fn base(&self, sid: usize) -> u64 {
+        self.bases[sid]
+    }
+
+    /// The shard owning `node`.
+    #[inline]
+    fn owner(&self, node: u64) -> usize {
+        let s = self.first[(node >> self.shift) as usize];
+        s + usize::from(node >= self.bases[s + 1])
+    }
 }
 
-/// Restores a tick batch to canonical message-id order.
-///
-/// Batches are concatenations of already-sorted runs — every enqueue
-/// source (injection seeding, a local forward loop, one mailbox drain
-/// from one sender tick) appends ids in increasing order — so instead
-/// of a full `sort_unstable` per tick, this is a natural-run merge:
-/// one `O(B)` scan when the batch is already sorted (the common case
-/// at low shard counts), `O(B log R)` for `R` runs otherwise.
-fn sort_by_id(batch: &mut Vec<Flight>, scratch: &mut Vec<Flight>) {
-    if batch.len() <= 1 || run_end(batch, 0) == batch.len() {
-        return;
-    }
-    loop {
-        let runs = merge_pass(batch, scratch);
-        if runs <= 1 {
-            return;
-        }
-        std::mem::swap(batch, scratch);
-    }
+/// Restores a tick batch to canonical message-id order. Ids are unique
+/// within a batch (a message is at one node per tick), so the unstable
+/// sort's order is fully determined.
+fn sort_by_id(batch: &mut [Flight]) {
+    batch.sort_unstable_by_key(|f| f.id);
 }
 
 /// Per-link FIFO state and load counters, keyed by `(from, to)` node
@@ -422,38 +457,50 @@ enum LinkState {
     },
 }
 
+/// The neighbor one `port` hop from `at` (ports numbered as in
+/// [`RankSpace`]: `a < d` shifts left, `d + a` shifts right).
+#[inline]
+fn port_target(ranks: &RankSpace, at: u64, port: u8) -> u64 {
+    let d = ranks.space().d();
+    if port < d {
+        ranks.shift_left(at, port)
+    } else {
+        ranks.shift_right(at, port - d)
+    }
+}
+
 impl LinkState {
-    /// The canonical slot for the link `at → next`: parallel shift
-    /// operations can alias (e.g. `X⁻(a) = X⁺(b)`), and the report
-    /// keys links by endpoints, so all aliases share the slot of the
-    /// smallest port reaching `next`.
-    fn dense_slot(ranks: &RankSpace, base: u64, ports: usize, at: u64, next: u64) -> usize {
-        let d = ranks.space().d();
-        for p in 0..ports as u8 {
-            let target = if p < d {
-                ranks.shift_left(at, p)
-            } else {
-                ranks.shift_right(at, p - d)
-            };
-            if target == next {
-                return (at - base) as usize * ports + p as usize;
-            }
-        }
-        unreachable!("next must be a neighbor of at")
+    /// The canonical slot for the link `at → next` reached through
+    /// `port`: parallel shift operations can alias (e.g.
+    /// `X⁻(a) = X⁺(b)`), and the report keys links by endpoints, so all
+    /// aliases share the slot of the smallest port reaching `next`.
+    #[inline]
+    fn dense_slot(ranks: &RankSpace, base: u64, ports: usize, at: u64, port: u8) -> usize {
+        (at - base) as usize * ports + usize::from(ranks.canonical_port(at, port))
     }
 
-    fn free_time(&self, ranks: &RankSpace, at: u64, next: u64) -> u64 {
+    /// The tick the link `at → next` (reached through `port`) is free.
+    fn free_time(&self, ranks: &RankSpace, at: u64, port: u8, next: u64) -> u64 {
         match self {
             LinkState::Dense {
                 base, ports, free, ..
-            } => free[Self::dense_slot(ranks, *base, *ports, at, next)],
+            } => free[Self::dense_slot(ranks, *base, *ports, at, port)],
             LinkState::Sparse { free, .. } => free.get(&(at, next)).copied().unwrap_or(0),
         }
     }
 
-    /// Books one message on the link: bumps the FIFO free time and the
-    /// load counter, returning the departure tick.
-    fn book(&mut self, ranks: &RankSpace, at: u64, next: u64, now: u64, service: u64) -> u64 {
+    /// Books one message on the link `at → next` (reached through
+    /// `port`): bumps the FIFO free time and the load counter, returning
+    /// the departure tick.
+    fn book(
+        &mut self,
+        ranks: &RankSpace,
+        at: u64,
+        port: u8,
+        next: u64,
+        now: u64,
+        service: u64,
+    ) -> u64 {
         match self {
             LinkState::Dense {
                 base,
@@ -461,7 +508,7 @@ impl LinkState {
                 free,
                 loads,
             } => {
-                let slot = Self::dense_slot(ranks, *base, *ports, at, next);
+                let slot = Self::dense_slot(ranks, *base, *ports, at, port);
                 let depart = now.max(free[slot]);
                 free[slot] = depart + service;
                 loads[slot] += 1;
@@ -483,21 +530,16 @@ impl LinkState {
             LinkState::Dense {
                 base, ports, loads, ..
             } => {
-                let d = ranks.space().d();
-                for (slot, &load) in loads.iter().enumerate() {
-                    if load == 0 {
-                        continue;
+                for (node, slots) in (base..).zip(loads.chunks(ports)) {
+                    for (port, &load) in (0u8..).zip(slots) {
+                        if load == 0 {
+                            continue;
+                        }
+                        let target = port_target(ranks, node, port);
+                        *into
+                            .entry((u128::from(node), u128::from(target)))
+                            .or_insert(0) += load;
                     }
-                    let node = base + (slot / ports) as u64;
-                    let p = (slot % ports) as u8;
-                    let target = if p < d {
-                        ranks.shift_left(node, p)
-                    } else {
-                        ranks.shift_right(node, p - d)
-                    };
-                    *into
-                        .entry((u128::from(node), u128::from(target)))
-                        .or_insert(0) += load;
                 }
             }
             LinkState::Sparse { loads, .. } => {
@@ -522,14 +564,9 @@ struct ShardState {
     events: Vec<NetEvent>,
     queue: TickQueue,
     cscratch: CompressedScratch,
-    /// Spare buffer for the natural-run batch merge ([`sort_by_id`]).
-    merge: Vec<Flight>,
     /// Flight steps processed — deterministic work accounting for the
     /// profiler's imbalance report.
     steps: u64,
-    /// Outbound mailbox pushes that spilled to the overflow sidecar
-    /// (profiler-only: depends on drain timing, not deterministic).
-    overflows: u64,
     /// Causal spans of sampled messages (profiled runs only).
     spans: Vec<HopSpan>,
     /// Terminal records of sampled deliveries (profiled runs only).
@@ -572,7 +609,7 @@ impl ShardedSimulation {
         let mut sim = Self {
             space,
             config,
-            shards,
+            partition: Partition::new(ranks.order(), shards),
             ranks,
             directed,
             path: FastPath::Fallback,
@@ -752,7 +789,7 @@ impl ShardedSimulation {
 
     /// The effective (clamped) shard count.
     pub fn shards(&self) -> usize {
-        self.shards
+        self.partition.shards()
     }
 
     /// Whether the `O(1)` dense next-hop table is active (vs the
@@ -760,22 +797,6 @@ impl ShardedSimulation {
     /// [`ShardedSimulation::next_hop_mode`] for the full picture).
     pub fn uses_table(&self) -> bool {
         matches!(self.path, FastPath::Dense(_))
-    }
-
-    /// The shard owning `node`: contiguous rank ranges, shard `s`
-    /// covering `[s·n/S, (s+1)·n/S)`.
-    #[inline]
-    fn shard_of(&self, node: u64) -> usize {
-        let n = self.ranks.order() as u128;
-        let s = self.shards as u128;
-        ((u128::from(node) * s) / n) as usize
-    }
-
-    /// First rank owned by shard `sid`: `⌈n·sid/S⌉`, the exact inverse
-    /// of [`ShardedSimulation::shard_of`] (shard `s` owns ranks in
-    /// `[⌈n·s/S⌉, ⌈n·(s+1)/S⌉)`).
-    fn shard_base(&self, sid: usize) -> u64 {
-        (self.ranks.order() as u128 * sid as u128).div_ceil(self.shards as u128) as u64
     }
 
     /// Runs the simulation, returning aggregate statistics. For a fixed
@@ -831,7 +852,12 @@ impl ShardedSimulation {
         recorder: &mut dyn Recorder,
         profile: &ProfileConfig,
     ) -> (SimReport, EngineProfile) {
-        let shared = ProfShared::new(self.worker_count(), self.shards, self.config.seed, profile);
+        let shared = ProfShared::new(
+            self.worker_count(),
+            self.shards(),
+            self.config.seed,
+            profile,
+        );
         let started = std::time::Instant::now();
         let (report, metas, report_nanos) = self.run_inner(traffic, recorder, Some(&shared));
         let wall = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -843,7 +869,7 @@ impl ShardedSimulation {
     /// one worker).
     fn worker_count(&self) -> usize {
         debruijn_parallel::effective_threads(self.config.threads)
-            .min(self.shards)
+            .min(self.shards())
             .max(1)
     }
 
@@ -859,7 +885,7 @@ impl ShardedSimulation {
             u32::try_from(traffic.len()).is_ok(),
             "sharded message ids are u32"
         );
-        let s = self.shards;
+        let s = self.shards();
 
         // Flat link arrays when the whole space's slots fit a fixed
         // budget; hash/tree maps beyond that.
@@ -877,8 +903,8 @@ impl ShardedSimulation {
 
         let mut states: Vec<ShardState> = (0..s)
             .map(|sid| {
-                let base = self.shard_base(sid);
-                let owned = (self.shard_base(sid + 1) - base) as usize;
+                let base = self.partition.base(sid);
+                let owned = (self.partition.base(sid + 1) - base) as usize;
                 let links = if dense_links {
                     LinkState::Dense {
                         base,
@@ -900,9 +926,7 @@ impl ShardedSimulation {
                     events: Vec::new(),
                     queue: TickQueue::default(),
                     cscratch: CompressedScratch::new(),
-                    merge: Vec::new(),
                     steps: 0,
-                    overflows: 0,
                     spans: Vec::new(),
                     deliveries: Vec::new(),
                 }
@@ -918,7 +942,7 @@ impl ShardedSimulation {
             );
             let src = u64::try_from(inj.source.rank()).expect("order fits u64");
             let dst = u64::try_from(inj.destination.rank()).expect("order fits u64");
-            states[self.shard_of(src)].queue.push(
+            states[self.partition.owner(src)].queue.push(
                 inj.time,
                 Flight {
                     id: index as u32,
@@ -949,7 +973,7 @@ impl ShardedSimulation {
             }
             per.into_iter().map(Mutex::new).collect()
         };
-        let mailboxes: Vec<SpscRing> = (0..s * s).map(|_| SpscRing::new(s)).collect();
+        let mailboxes: Vec<Mailbox> = (0..s * s).map(|_| Mailbox::new()).collect();
         let barrier = debruijn_parallel::TickBarrier::new(workers);
 
         // The conservative window: a message forwarded at tick `t`
@@ -979,6 +1003,9 @@ impl ShardedSimulation {
                 let local = states.iter().map(|st| st.queue.next_tick()).min();
                 sync(w, local.unwrap_or(u64::MAX), &mut timer)
             };
+            // The mailbox parity of the current window: every worker
+            // crosses the same barriers, so all agree on it.
+            let mut parity = 0;
             while tick != u64::MAX {
                 if let Some(t) = timer.as_mut() {
                     t.window();
@@ -986,41 +1013,47 @@ impl ShardedSimulation {
                 let window_end = tick.saturating_add(lookahead);
                 let mut local_min = u64::MAX;
                 for st in states.iter_mut() {
-                    // Drain inboxes once per window, in fixed sender
-                    // order. Entries always carry ticks at or beyond
-                    // some window end, so whether a racing sender's
-                    // push lands in this drain or the next cannot
-                    // change any tick batch at processing time — and
-                    // no arrival can land *inside* the current window,
-                    // so one drain up front covers all its ticks.
+                    // Drain what the previous window sent, in fixed
+                    // sender order. Those entries carry ticks at or past
+                    // that window's end, and no arrival can land inside
+                    // the current window, so one drain up front covers
+                    // all its ticks.
                     for src in 0..s {
-                        mailboxes[src * s + st.sid].drain_into(&mut st.queue);
+                        // SAFETY: this worker owns shard `st.sid`, the
+                        // mailbox's destination, and `parity ^ 1` is the
+                        // previous window's parity.
+                        unsafe {
+                            mailboxes[src * s + st.sid].drain_into(parity ^ 1, &mut st.queue)
+                        };
                     }
                     if let Some(t) = timer.as_mut() {
                         t.lap(Phase::Mailbox, st.sid);
                     }
-                    while st.queue.next_tick() < window_end {
-                        let now = st.queue.next_tick();
-                        let mut batch = st.queue.take(now).expect("next_tick is occupied");
+                    while let Some((now, mut batch)) = st.queue.pop_before(window_end) {
                         // Canonical processing order: message id. This
                         // makes link contention independent of how the
                         // batch was assembled, hence of S and threads.
                         let merged = batch.len() > 1;
-                        sort_by_id(&mut batch, &mut st.merge);
+                        sort_by_id(&mut batch);
                         if let Some(t) = timer.as_mut().filter(|_| merged) {
                             t.lap(Phase::Merge, st.sid);
                         }
                         for flight in batch.drain(..) {
-                            self.step(
+                            let sent = self.step(
                                 st,
                                 now,
                                 flight,
                                 &routes,
-                                &mailboxes,
                                 &mut local_min,
                                 observed,
                                 sampler,
                             );
+                            if let Some((dshard, entry)) = sent {
+                                // SAFETY: this worker owns shard `st.sid`,
+                                // the mailbox's source, and `parity` is the
+                                // current window's.
+                                unsafe { mailboxes[st.sid * s + dshard].push(parity, entry) };
+                            }
                         }
                         if let Some(t) = timer.as_mut() {
                             t.lap(Phase::Compute, st.sid);
@@ -1030,6 +1063,7 @@ impl ShardedSimulation {
                     local_min = local_min.min(st.queue.next_tick());
                 }
                 tick = sync(w, local_min, &mut timer);
+                parity ^= 1;
             }
         });
 
@@ -1058,7 +1092,6 @@ impl ShardedSimulation {
                 metas.push(ShardMeta {
                     sid: st.sid,
                     steps: st.steps,
-                    overflows: st.overflows,
                     spans: std::mem::take(&mut st.spans),
                     deliveries: std::mem::take(&mut st.deliveries),
                 });
@@ -1113,7 +1146,9 @@ impl ShardedSimulation {
     }
 
     /// Processes one flight at `now`: injection bookkeeping, fault and
-    /// TTL drops, delivery, or one forward hop.
+    /// TTL drops, delivery, or one forward hop. A hop into another shard
+    /// is returned as that shard and its `(arrival tick, flight)` entry,
+    /// for the caller's mailbox.
     #[allow(clippy::too_many_arguments)]
     fn step(
         &self,
@@ -1121,11 +1156,10 @@ impl ShardedSimulation {
         now: u64,
         flight: Flight,
         routes: &[Option<RoutePath>],
-        mailboxes: &[SpscRing],
         local_min: &mut u64,
         observed: Observe,
         sampler: Option<SpanSampler>,
-    ) {
+    ) -> Option<(usize, (u64, Flight))> {
         let mut flight = flight;
         st.steps += 1;
         // The fallback tier's routing-path field; the next-hop tiers
@@ -1143,7 +1177,7 @@ impl ShardedSimulation {
             }
             if self.faults.contains(&flight.at) {
                 self.drop_flight(st, now, &flight, DropReason::FaultySource, observed);
-                return;
+                return None;
             }
             match &self.path {
                 FastPath::Compressed(engine) => {
@@ -1153,7 +1187,7 @@ impl ShardedSimulation {
                 }
                 FastPath::Fallback if route.is_none() => {
                     self.drop_flight(st, now, &flight, DropReason::NoRoute, observed);
-                    return;
+                    return None;
                 }
                 FastPath::Dense(_) | FastPath::Fallback => {}
             }
@@ -1184,7 +1218,7 @@ impl ShardedSimulation {
             }
         } else if self.faults.contains(&flight.at) {
             self.drop_flight(st, now, &flight, DropReason::FaultyNode, observed);
-            return;
+            return None;
         }
         // A source-routed message arrives when its route is spent (the
         // trivial route may pass the destination early); a next-hop one
@@ -1221,27 +1255,28 @@ impl ShardedSimulation {
                     shortest: flight.shortest as usize,
                 });
             }
-            return;
+            return None;
         }
         if self.config.ttl > 0 && flight.hops as usize >= self.config.ttl {
             self.drop_flight(st, now, &flight, DropReason::Ttl, observed);
-            return;
+            return None;
         }
 
-        let next = match (&self.path, route) {
-            (_, Some(route)) => self.source_routed_next(st, now, &flight, route, observed),
-            (FastPath::Dense(table), None) => {
-                table.apply(flight.at, table.next_hop(flight.at, flight.dst))
-            }
+        let port = match (&self.path, route) {
+            (_, Some(route)) => self.source_routed_port(st, now, &flight, route, observed),
+            (FastPath::Dense(table), None) => table.next_hop(flight.at, flight.dst),
             (FastPath::Compressed(engine), None) => {
                 let port = engine.advance(flight.at, flight.dst, flight.dist, &mut st.cscratch);
                 flight.dist -= 1;
-                engine.apply(flight.at, port)
+                port
             }
             (FastPath::Fallback, None) => unreachable!("the fallback tier always has a route"),
         };
+        let next = port_target(&self.ranks, flight.at, port);
         let service = self.config.link.service;
-        let depart = st.links.book(&self.ranks, flight.at, next, now, service);
+        let depart = st
+            .links
+            .book(&self.ranks, flight.at, port, next, now, service);
         let arrive = depart + service + self.config.link.latency;
         let wait = depart - now;
         st.report.total_queue_wait += wait;
@@ -1267,7 +1302,7 @@ impl ShardedSimulation {
             ..flight
         };
         *local_min = (*local_min).min(arrive);
-        let dshard = self.shard_of(next);
+        let dshard = self.partition.owner(next);
         if flight.sampled {
             st.spans.push(HopSpan {
                 message: flight.id,
@@ -1281,22 +1316,23 @@ impl ShardedSimulation {
         }
         if dshard == st.sid {
             st.queue.push(arrive, forwarded);
+            None
         } else {
-            let spilled = mailboxes[st.sid * self.shards + dshard].push((arrive, forwarded));
-            st.overflows += u64::from(spilled);
+            Some((dshard, (arrive, forwarded)))
         }
     }
 
     /// Fallback next hop: pops step `hops` of the message's routing-path
-    /// field and resolves a `*` digit with the configured policy.
-    fn source_routed_next(
+    /// field and resolves a `*` digit with the configured policy,
+    /// returning the port of the shift it takes.
+    fn source_routed_port(
         &self,
         st: &mut ShardState,
         now: u64,
         flight: &Flight,
         route: &RoutePath,
         observed: Observe,
-    ) -> u64 {
+    ) -> u8 {
         let step = route.steps()[flight.hops as usize];
         let digit = match step.digit {
             Digit::Exact(b) => b,
@@ -1316,8 +1352,8 @@ impl ShardedSimulation {
             }
         };
         match step.shift {
-            ShiftKind::Left => self.ranks.shift_left(flight.at, digit),
-            ShiftKind::Right => self.ranks.shift_right(flight.at, digit),
+            ShiftKind::Left => digit,
+            ShiftKind::Right => self.space.d() + digit,
         }
     }
 
@@ -1392,11 +1428,12 @@ impl ShardedSimulation {
             }
             WildcardPolicy::LeastLoaded => (0..d)
                 .min_by_key(|&b| {
-                    let next = match shift {
-                        ShiftKind::Left => self.ranks.shift_left(at, b),
-                        ShiftKind::Right => self.ranks.shift_right(at, b),
+                    let port = match shift {
+                        ShiftKind::Left => b,
+                        ShiftKind::Right => d + b,
                     };
-                    st.links.free_time(&self.ranks, at, next)
+                    let next = port_target(&self.ranks, at, port);
+                    st.links.free_time(&self.ranks, at, port, next)
                 })
                 .expect("d >= 2"),
         }
@@ -1687,6 +1724,56 @@ pub(crate) mod tests {
         );
     }
 
+    /// Determinism at burst density: a Zipf burst whose first window
+    /// alone sends more than 256 entries (the largest capacity of the
+    /// fixed ring mailboxes this engine once had) over every shard pair
+    /// that carries traffic, run on shards `{1, 2, 8}` × threads
+    /// `{1, 2}` with identical reports and metrics.
+    #[test]
+    fn zipf_burst_is_deterministic_at_mailbox_density() {
+        let space = space(2, 8);
+        let traffic = workload::zipf(space, 40_000, 1.0, 5);
+        // Count the first window's crossings at 8 shards: every message
+        // takes its first hop at tick 0.
+        let table = NextHopTable::build(space, false, 1, usize::MAX).expect("256 nodes fit");
+        let partition = Partition::new(256, 8);
+        let mut pairs: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+        for inj in &traffic {
+            let (at, dst) = (inj.source.rank() as u64, inj.destination.rank() as u64);
+            let next = table.apply(at, table.next_hop(at, dst));
+            let (from, to) = (partition.owner(at), partition.owner(next));
+            if from != to {
+                *pairs.entry((from, to)).or_insert(0) += 1;
+            }
+        }
+        let sparsest = pairs.values().min().copied().unwrap_or(0);
+        assert!(
+            sparsest > 256,
+            "sparsest crossing pair carries {sparsest}: {pairs:?}"
+        );
+
+        let mut baseline: Option<(SimReport, InMemoryRecorder)> = None;
+        for shards in [1usize, 2, 8] {
+            for threads in [1usize, 2] {
+                let config = SimConfig {
+                    threads,
+                    ..SimConfig::default()
+                };
+                let sim = ShardedSimulation::new(space, config, shards).expect("supported config");
+                let mut metrics = InMemoryRecorder::new();
+                let report = sim.run_recorded(&traffic, &mut metrics);
+                assert_eq!(report.delivered, traffic.len());
+                match &baseline {
+                    None => baseline = Some((report, metrics)),
+                    Some((r, m)) => {
+                        assert_eq!(&report, r, "report differs at S={shards} T={threads}");
+                        assert_eq!(&metrics, m, "metrics differ at S={shards} T={threads}");
+                    }
+                }
+            }
+        }
+    }
+
     /// The acceptance-criteria run: DG(2,20) — a million nodes — stays
     /// on the compressed fast path (no word-router fallback) and its
     /// report is identical across `{1,4}` shards × `{1,4}` threads.
@@ -1718,13 +1805,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// The SPSC mailbox delivers every entry exactly once, in deposit
-    /// order, across ring wrap-arounds and sidecar overflow.
-    #[test]
-    fn spsc_ring_preserves_entries_through_overflow() {
-        let ring = SpscRing::new(64); // small capacity at high shard count
-        let capacity = SpscRing::capacity(64);
-        let flight = |id: u32| Flight {
+    fn flight(id: u32) -> Flight {
+        Flight {
             id,
             at: 0,
             dst: 1,
@@ -1734,44 +1816,223 @@ pub(crate) mod tests {
             dist: 0,
             shortest: 0,
             sampled: false,
-        };
-        let total = 3 * capacity + 7; // forces wrap + sidecar
-        let mut queue = TickQueue::default();
-        for round in 0..3 {
-            for i in 0..total as u32 {
-                ring.push((u64::from(i), flight(i)));
-            }
-            for _ in 0..capacity {
-                // Interleave a partial drain cycle too.
-            }
-            ring.drain_into(&mut queue);
-            let mut seen = 0;
-            for t in 0..total as u64 {
-                let batch = queue.take(t).expect("entry for every tick");
-                assert_eq!(batch.len(), 1);
-                assert_eq!(batch[0].id as u64, t);
-                seen += 1;
-                queue.recycle(batch);
-            }
-            assert_eq!(seen, total, "round {round}");
         }
     }
 
-    /// The natural-run merge equals a full sort on adversarial run
-    /// layouts (sorted, reversed runs, interleaved, singleton).
+    /// Pops every pending batch as `(tick, ids)`.
+    fn drain_queue(queue: &mut TickQueue) -> Vec<(u64, Vec<u32>)> {
+        let mut out = Vec::new();
+        while let Some((tick, batch)) = queue.pop_before(u64::MAX) {
+            out.push((tick, batch.iter().map(|f| f.id).collect()));
+            queue.recycle(batch);
+        }
+        out
+    }
+
+    /// A mailbox buffer takes a whole window's traffic — here three
+    /// times the largest capacity of the fixed rings it replaced — and
+    /// the next window's drain hands over every entry exactly once, in
+    /// deposit order, while the current window's entries stay out of
+    /// that drain.
+    #[test]
+    fn parity_mailbox_preserves_entries_without_spilling() {
+        let mailbox = Mailbox::new();
+        let total = 3 * 256 + 7;
+        let mut queue = TickQueue::default();
+        for window in 0..5u64 {
+            let parity = (window & 1) as usize;
+            if window < 4 {
+                for i in 0..total {
+                    let entry = (window * total + i, flight(i as u32));
+                    // SAFETY: this thread is the only producer and
+                    // consumer, and it alternates parity per window.
+                    unsafe { mailbox.push(parity, entry) };
+                }
+            }
+            // SAFETY: as above; `parity ^ 1` is the previous window's.
+            unsafe { mailbox.drain_into(parity ^ 1, &mut queue) };
+            let got = drain_queue(&mut queue);
+            let want: Vec<(u64, Vec<u32>)> = match window {
+                0 => Vec::new(),
+                w => (0..total)
+                    .map(|i| ((w - 1) * total + i, vec![i as u32]))
+                    .collect(),
+            };
+            assert_eq!(got, want, "window {window}");
+        }
+    }
+
+    /// Pushes below the calendar's base re-index it, also across a gap
+    /// wider than the horizon, and every batch keeps its push order.
+    #[test]
+    fn tick_queue_accepts_pushes_behind_its_base() {
+        let mut queue = TickQueue::default();
+        for (tick, id) in [(10, 0), (12, 1), (5, 2), (10, 3), (3, 4), (5, 5)] {
+            queue.push(tick, flight(id));
+        }
+        assert_eq!(queue.next_tick(), 3);
+        assert_eq!(
+            drain_queue(&mut queue),
+            [
+                (3, vec![4]),
+                (5, vec![2, 5]),
+                (10, vec![0, 3]),
+                (12, vec![1])
+            ]
+        );
+        let far = 3 * HORIZON;
+        for (tick, id) in [(far, 0), (far + 1, 1), (7, 2), (far, 3), (6, 4)] {
+            queue.push(tick, flight(id));
+        }
+        assert_eq!(
+            drain_queue(&mut queue),
+            [
+                (6, vec![4]),
+                (7, vec![2]),
+                (far, vec![0, 3]),
+                (far + 1, vec![1])
+            ]
+        );
+        // A behind push that leaves part of the calendar in reach keeps
+        // it, and moves the rest past the new horizon.
+        for (tick, id) in [(HORIZON, 0), (2 * HORIZON - 1, 1), (HORIZON - 5, 2)] {
+            queue.push(tick, flight(id));
+        }
+        assert_eq!(
+            drain_queue(&mut queue),
+            [
+                (HORIZON - 5, vec![2]),
+                (HORIZON, vec![0]),
+                (2 * HORIZON - 1, vec![1])
+            ]
+        );
+    }
+
+    /// Ticks past the horizon wait in the ordered map without slots for
+    /// the gap, and come back in order as the calendar reaches them.
+    #[test]
+    fn tick_queue_parks_ticks_past_the_horizon() {
+        let mut queue = TickQueue::default();
+        let ticks = [0, 1 << 40, HORIZON - 1, HORIZON, HORIZON + 1, (1 << 40) + 1];
+        for (id, &tick) in ticks.iter().enumerate() {
+            queue.push(tick, flight(id as u32));
+        }
+        assert!(queue.near.len() as u64 <= HORIZON, "no slots for the gap");
+        assert_eq!(
+            queue.far.len(),
+            4,
+            "HORIZON, HORIZON + 1 and the two far ticks"
+        );
+        assert_eq!(queue.pop_before(1).map(|(t, _)| t), Some(0));
+        assert!(
+            queue.pop_before(HORIZON - 1).is_none(),
+            "limit is exclusive"
+        );
+        let rest: Vec<u64> = drain_queue(&mut queue).iter().map(|&(t, _)| t).collect();
+        assert_eq!(
+            rest,
+            [HORIZON - 1, HORIZON, HORIZON + 1, 1 << 40, (1 << 40) + 1]
+        );
+    }
+
+    #[test]
+    fn empty_tick_queue_returns_u64_max() {
+        let mut queue = TickQueue::default();
+        assert_eq!(queue.next_tick(), u64::MAX);
+        assert!(queue.pop_before(u64::MAX).is_none());
+        queue.push(1 << 40, flight(0));
+        assert_eq!(queue.next_tick(), 1 << 40);
+        assert_eq!(drain_queue(&mut queue), [(1 << 40, vec![0])]);
+        assert_eq!(queue.next_tick(), u64::MAX);
+    }
+
+    /// The calendar behaves exactly like an ordered map of batches under
+    /// random pushes (behind the base, inside and past the horizon) and
+    /// bounded pops.
+    #[test]
+    fn tick_queue_matches_an_ordered_map() {
+        let mut rng = SplitMix64::new(99);
+        let mut queue = TickQueue::default();
+        let mut model: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        let mut now = 0u64;
+        for id in 0..20_000u32 {
+            if rng.below_u64(3) == 0 {
+                let limit = now + rng.below_u64(HORIZON);
+                let want = model
+                    .first_key_value()
+                    .filter(|(&t, _)| t < limit)
+                    .map(|(&t, _)| t);
+                let got = queue.pop_before(limit).map(|(t, batch)| {
+                    let ids: Vec<u32> = batch.iter().map(|f| f.id).collect();
+                    queue.recycle(batch);
+                    (t, ids)
+                });
+                let want = want.map(|t| (t, model.remove(&t).expect("present")));
+                assert_eq!(got, want, "pop before {limit}");
+                if let Some((t, _)) = got {
+                    now = t;
+                }
+            } else {
+                let tick = match rng.below_u64(4) {
+                    0 => now.saturating_sub(rng.below_u64(2 * HORIZON)),
+                    1 => now + HORIZON + rng.below_u64(4 * HORIZON),
+                    _ => now + rng.below_u64(64),
+                };
+                queue.push(tick, flight(id));
+                model.entry(tick).or_default().push(id);
+            }
+            assert_eq!(
+                queue.next_tick(),
+                model.keys().next().copied().unwrap_or(u64::MAX)
+            );
+        }
+    }
+
+    /// The bucketed owner lookup equals `⌊x·S/n⌋` on every rank of small
+    /// spaces and on sampled and boundary ranks of large ones, and the
+    /// shard bases are its inverse.
+    #[test]
+    fn partition_owner_matches_the_rank_formula() {
+        let mut rng = SplitMix64::new(7);
+        let orders = [1u64, 2, 7, 8, 81, 4096, 3u64.pow(40), 1 << 63];
+        for order in orders {
+            for shards in [1usize, 2, 3, 5, 8, 13, 64, 1000] {
+                if shards as u64 > order {
+                    continue;
+                }
+                let partition = Partition::new(order, shards);
+                let exact =
+                    |x: u64| ((u128::from(x) * shards as u128) / u128::from(order)) as usize;
+                let mut ranks: Vec<u64> = if order <= 4096 {
+                    (0..order).collect()
+                } else {
+                    (0..2000).map(|_| rng.below_u64(order)).collect()
+                };
+                for sid in 0..=shards {
+                    let base = partition.base(sid);
+                    ranks.extend(
+                        [base.saturating_sub(1), base]
+                            .into_iter()
+                            .filter(|&x| x < order),
+                    );
+                    if sid < shards {
+                        assert_eq!(exact(base), sid, "n={order} S={shards}");
+                    }
+                }
+                for x in ranks {
+                    assert_eq!(partition.owner(x), exact(x), "n={order} S={shards} x={x}");
+                }
+            }
+        }
+    }
+
+    /// The batch order equals a full sort on the layouts batches are
+    /// assembled in (sorted runs from local forwards and mailbox drains,
+    /// reversed, interleaved, singleton, shuffled).
     #[test]
     fn sort_by_id_matches_full_sort() {
-        let flight = |id: u32| Flight {
-            id,
-            at: 0,
-            dst: 0,
-            prev: 0,
-            injected_at: 0,
-            hops: 0,
-            dist: 0,
-            shortest: 0,
-            sampled: false,
-        };
+        let mut shuffled: Vec<u32> = (0..500).collect();
+        SplitMix64::new(3).shuffle(&mut shuffled);
         let cases: Vec<Vec<u32>> = vec![
             vec![],
             vec![3],
@@ -1779,14 +2040,13 @@ pub(crate) mod tests {
             (0..50).rev().collect(),
             vec![0, 2, 4, 6, 1, 3, 5, 7],
             vec![5, 6, 7, 0, 1, 2, 8, 9, 3, 4],
-            vec![1, 1, 0, 2, 2, 0],
+            shuffled,
         ];
         for ids in cases {
             let mut batch: Vec<Flight> = ids.iter().map(|&i| flight(i)).collect();
             let mut want = ids.clone();
             want.sort_unstable();
-            let mut scratch = Vec::new();
-            sort_by_id(&mut batch, &mut scratch);
+            sort_by_id(&mut batch);
             let got: Vec<u32> = batch.iter().map(|f| f.id).collect();
             assert_eq!(got, want, "input {ids:?}");
         }

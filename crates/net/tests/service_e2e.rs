@@ -5,14 +5,14 @@
 //! single-threaded direct-engine answer regardless of shard count,
 //! connection assignment, or cache state; malformed queries are typed
 //! `400`s; overload sheds with `503` + `Retry-After` and never admits
-//! more than its bound; shutdown answers every admitted query; an
-//! oversized request head is refused after 8 KiB and the connection
-//! closed.
+//! more than its bound; shutdown answers every admitted query and
+//! closes idle keep-alive connections at once; an oversized request
+//! head is refused after 8 KiB and the connection closed.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use debruijn_core::Word;
 use debruijn_net::metrics::MetricsRegistry;
@@ -241,6 +241,25 @@ fn overloaded_service_sheds_503_with_retry_after() {
         ),
         Some(1)
     );
+}
+
+#[test]
+fn shutdown_closes_idle_keep_alive_connections_at_once() {
+    let (service, _registry) = bind_service(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::new(2)
+    });
+    let mut client = Client::connect(service.local_addr());
+    assert_eq!(client.get("/distance?x=0110&y=1011").body, "1\n");
+    // The connection stays open and idle, its server thread blocked in
+    // a read, while the service shuts down.
+    let started = Instant::now();
+    service.shutdown().unwrap();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    // The server closed its end: the client reads end-of-stream.
+    let mut rest = Vec::new();
+    assert_eq!(client.reader.read_to_end(&mut rest).unwrap(), 0);
 }
 
 #[test]

@@ -39,7 +39,6 @@ pub mod matching;
 pub mod suffix_tree;
 #[cfg(test)]
 mod testgen;
-pub mod zfunction;
 
 pub use algorithm3::{algorithm3_row, algorithm3_row_into};
 pub use bitmatch::{both_family_minima, BitScratch};
@@ -52,4 +51,3 @@ pub use matching::{
     MatchScratch, MatchTerm,
 };
 pub use suffix_tree::SuffixTree;
-pub use zfunction::{overlap_via_z, z_array};
