@@ -1,18 +1,25 @@
 //! Golden route bytes for `dbr route --batch`.
 //!
 //! `tests/golden/route_d{2,3}.pairs` hold seeded pairs over radix 2 and
-//! 3 at k ∈ {8, 64, 130, 512}: uniform pairs, planted common blocks,
-//! periodic words (many equal-length runs, so many ties) and
-//! destinations shared by several sources, which take the grouped
-//! destination-major path. `route_d{2,3}.out` are the routes the
-//! bit-parallel engine printed for them when the files were recorded.
+//! 3 (1-bit and nibble lanes) at k ∈ {8, 64, 130, 512}: uniform pairs,
+//! planted common blocks, periodic words (many equal-length runs, so
+//! many ties) and destinations shared by several sources, which take
+//! the grouped destination-major path. `route_d{17,255}.pairs` cover
+//! byte lanes with the same shapes, plus a long middle run that never
+//! improves a minimum, at k ∈ {4, 8, 9, 40, 130}: one-word diagonals up
+//! to k = 8, multi-word ones beyond. Each `.out` file holds the routes
+//! the bit-parallel engine printed for its pairs when it was recorded.
 //!
 //! A Theorem-2 kernel may only change how fast it finds a minimizer,
 //! never which one: any drift in tie-breaking changes a route's digits
 //! or shift order, and this diff fails. `Engine::Auto` resolves to the
-//! bit-parallel engine at every k ≤ 512, so it must print the same bytes.
+//! bit-parallel engine at every size in these files, so it must print
+//! the same bytes.
 
 use debruijn_suite::cli;
+
+/// One radix per lane width: 1-bit (2), nibble (3), byte (17, 255).
+const RADIXES: [u8; 4] = [2, 3, 17, 255];
 
 fn golden(name: &str) -> String {
     let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -53,19 +60,21 @@ fn assert_same_lines(got: &str, want: &str, what: &str) {
 
 #[test]
 fn bit_parallel_batch_routes_match_the_golden_bytes() {
-    for d in [2u8, 3] {
+    for d in RADIXES {
         let want = golden(&format!("route_d{d}.out"));
-        assert_same_lines(
-            &batch_routes(d, "bit-parallel", 1),
-            &want,
-            &format!("d={d} bit-parallel"),
-        );
+        for threads in [1, 2] {
+            assert_same_lines(
+                &batch_routes(d, "bit-parallel", threads),
+                &want,
+                &format!("d={d} bit-parallel --threads {threads}"),
+            );
+        }
     }
 }
 
 #[test]
 fn auto_batch_routes_match_the_golden_bytes() {
-    for d in [2u8, 3] {
+    for d in RADIXES {
         let want = golden(&format!("route_d{d}.out"));
         for threads in [1, 2] {
             assert_same_lines(
