@@ -11,14 +11,20 @@
 //! 255 that pack digits into 4- and 8-bit lanes, place the
 //! `Engine::Auto` crossover (`AUTO_BITPARALLEL_MAX_LANE_BITS`) where the
 //! `O(k)` suffix tree overtakes the bit-parallel sweep.
+//!
+//! On random words the sweep reads `O(k)` words per pair. Words whose
+//! middle runs are long but never improve a minimum keep it at its
+//! `O(k²·lane/64)` worst case; the `bitparallel_long_middle_runs` rows
+//! time one such pair, `0^k` against `0^(k/2) 1 0^(k/2 − 1)`.
 
 use debruijn_bench::{json_mode, median_nanos_per_call, random_pairs, JsonReport};
 use debruijn_core::distance::directed;
 use debruijn_core::distance::undirected::{distance_with, Engine};
+use debruijn_core::Word;
 use std::hint::black_box;
 
 /// Median ns per pair of `engine` over `pairs`.
-fn time_engine(engine: Engine, pairs: &[(debruijn_core::Word, debruijn_core::Word)]) -> f64 {
+fn time_engine(engine: Engine, pairs: &[(Word, Word)]) -> f64 {
     let k = pairs[0].0.len();
     median_nanos_per_call(
         || {
@@ -69,6 +75,20 @@ fn main() {
             let mp = mp.map_or("-".into(), |v| format!("{v:.0}"));
             let naive = naive.map_or("-".into(), |n| format!("{n:.0}"));
             println!("{k:>6} {dir:>12.0} {mp:>14} {st:>13.0} {bp:>13.0} {naive:>12}");
+        }
+    }
+    if !json {
+        println!("\nradix 2, 0^k vs 0^(k/2) 1 0^(k/2-1): ns per pair\n");
+        println!("{:>6} {:>13}", "k", "bitparallel");
+    }
+    for k in [512usize, 2048, 8192] {
+        let mut y = vec![0; k];
+        y[k / 2] = 1;
+        let pairs = [(Word::new(2, vec![0; k]).unwrap(), Word::new(2, y).unwrap())];
+        let bp = time_engine(Engine::BitParallel, &pairs);
+        report.push("bitparallel_long_middle_runs", k, bp);
+        if !json {
+            println!("{k:>6} {bp:>13.0}");
         }
     }
     // Radix 16 packs 4-bit lanes, radixes 17 and 255 (the narrowest and

@@ -21,7 +21,9 @@
 //!   the per-source scan: `O(k)` per source for directed overlaps and
 //!   undirected distance *values*, one packed sweep for undirected
 //!   *routes* (byte-identical minimizers to the scalar bit-parallel
-//!   engine, see [`DestinationContext::both_family_minima`]);
+//!   engine, see [`DestinationContext::both_family_minima`]). Undirected
+//!   distance groups below `SWEEP_GROUP_FLOOR` sources use that packed
+//!   sweep too, since the automaton build would not amortize;
 //! * **distance column** — when the whole vertex set is enumerable
 //!   ([`RankSpace`], at most [`COLUMN_MAX_NODES`] vertices) and the group
 //!   is large enough that one reverse BFS from the destination
@@ -49,6 +51,19 @@ use debruijn_strings::DestinationContext;
 /// The distance-column tier is considered only for spaces with at most
 /// this many vertices (the BFS allocates 4 bytes per vertex).
 pub const COLUMN_MAX_NODES: u64 = 1 << 20;
+
+/// Undirected distance groups smaller than this are answered with the
+/// packed Theorem-2 sweep ([`DestinationContext::both_family_minima`])
+/// instead of the suffix-automaton scan, whose two per-destination
+/// builds only pay off over larger groups. Per group, best of 9 on a
+/// 2-core x86-64 VM, the sweep and the automaton tie at about 8–12
+/// sources for d=2, k=64 (one-word diagonals; 13.1 vs 13.6 µs at 8), at
+/// about 4 for k=128 (25.7 vs 24.0 µs at 4) and above 24 for d=17, k=8.
+/// On perfbench batch_skewed (k=64, 10 s, seeds 31/32) floors of 8, 12,
+/// 16 and 24 read 709k/764k, 753k/741k, 739k/748k and 733k/686k pairs/s
+/// against 649k/681k with no sweep tier. `batched_query`'s skewed groups
+/// (19 sources and up) stay on the automaton.
+const SWEEP_GROUP_FLOOR: usize = 8;
 
 /// Reusable buffers for the batched kernels: the per-destination context,
 /// the grouping keys, and the BFS column. One scratch per worker thread
@@ -330,6 +345,13 @@ fn distance_group(
         for &i in grp {
             let i = i as usize;
             out[i] = k - scratch.ctx.overlap(pairs[i].0.digits());
+        }
+    } else if grp.len() < SWEEP_GROUP_FLOOR && engine.resolve(y.radix(), k) == Engine::BitParallel {
+        scratch.ctx.set_destination(y.radix(), y.digits());
+        for &i in grp {
+            let i = i as usize;
+            let (l, r) = scratch.ctx.both_family_minima(pairs[i].0.digits());
+            out[i] = (2 * k as i64 - 1 + l.value.min(r.value)) as usize;
         }
     } else if DestinationContext::supports_family_scan(y.radix(), k) {
         scratch.ctx.set_destination(y.radix(), y.digits());

@@ -31,25 +31,27 @@
 //! (θ = 0) candidate `1 − ky` at `(1, ky)` seeds both minima.
 //!
 //! On one diagonal `p₀ − q₀` is fixed, so both candidates are a constant
-//! minus `2·S`: with strict updates in increasing position, the only run
-//! of a diagonal that can change either minimum is its *first longest*
-//! one. The sweep therefore reports exactly that run per diagonal, and
-//! skips a diagonal outright when neither its length nor its longest run
-//! can strictly beat either family's current best. Every `(value, s, t,
-//! θ)` is the one an enumeration of all maximal runs in the same order
-//! reports (the argument is in ADR 0003).
+//! minus `2·S`, and only a run of at least `need` lanes can strictly beat
+//! either family's current best. `need` is always more than half the
+//! diagonal (the argument is in ADR 0003), so such a run is the
+//! diagonal's unique longest run and covers its middle lane `len / 2`.
+//! The sweep therefore reads that lane: if its digits differ, the
+//! diagonal is skipped; otherwise the run through it is measured in both
+//! directions and offered if it reaches `need`. Every `(value, s, t, θ)`
+//! is the one an enumeration of all maximal runs in the same order
+//! reports.
 //!
 //! Words are packed into `u64` lanes — 1 bit per digit for radix `d = 2`,
-//! 4-bit nibbles for `d ≤ 16`, bytes otherwise — and each diagonal is
-//! scanned 64 bits at a time: XOR the two shifted lane vectors and reduce
-//! each lane to one bit that is set iff the digits are equal (SWAR
-//! zero-lane detection). Within a word, each `t &= t >> lane` step
-//! shortens every run of set lanes by one, so the step count that empties
-//! `t` is the longest run and the lowest bit left before it is that run's
-//! first start. Runs that cross word boundaries are measured with
-//! trailing/leading-zero counts. When both words fit in one `u64` every
-//! diagonal is a single word; otherwise the sweep walks the diagonal's
-//! words, stopping once no remaining lane can lengthen a run enough.
+//! 4-bit nibbles for `d ≤ 16`, bytes otherwise. A diagonal is read 64
+//! bits at a time from its middle lane: XOR the two shifted lane vectors
+//! and set every bit of each lane whose digits are equal (SWAR zero-lane
+//! detection), so trailing- and leading-one counts give the equal lanes
+//! above and below the middle one. Further words are read only while the
+//! run continues. On random words the run through the middle lane is
+//! short, so a solve reads `O(kx + ky)` words; words with long middle
+//! runs that never improve a minimum still cost `O(kx·ky·lane/64)`. When
+//! both words fit in one `u64`, one shifted word per diagonal serves
+//! both directions.
 
 use crate::matching::MatchTerm;
 
@@ -119,13 +121,12 @@ fn pack(digits: &[u8], lane: usize, out: &mut Vec<u64>) {
     }
 }
 
-/// One 64-bit window of `words >> bit_off`, at word offset `wi`; reads past
-/// the end yield zeros.
+/// The 64 bits of `words` starting at bit `bit_off`; reads past the end
+/// yield zeros.
 #[inline]
-fn shifted_word(words: &[u64], bit_off: usize, wi: usize) -> u64 {
-    let s = bit_off + (wi << 6);
-    let lo = s >> 6;
-    let sh = (s & 63) as u32;
+fn shifted_word(words: &[u64], bit_off: usize) -> u64 {
+    let lo = bit_off >> 6;
+    let sh = (bit_off & 63) as u32;
     let a = words.get(lo).copied().unwrap_or(0);
     if sh == 0 {
         a
@@ -134,65 +135,40 @@ fn shifted_word(words: &[u64], bit_off: usize, wi: usize) -> u64 {
     }
 }
 
-/// One bit per lane, at the lane's lowest bit, set exactly where the lane
-/// of `v = x ^ y` is zero — where the two digits are equal (SWAR
-/// zero-lane detection).
+/// Every bit of each lane set where that lane of `v = x ^ y` is zero —
+/// where the two digits are equal (SWAR zero-lane detection) — so runs of
+/// equal lanes are runs of ones, `LANE` bits per lane.
 #[inline(always)]
-fn eq_low<const LANE: usize>(v: u64) -> u64 {
+fn eq_lanes<const LANE: usize>(v: u64) -> u64 {
     match LANE {
         1 => !v,
         4 => {
             let t = v | (v >> 1);
-            !(t | (t >> 2)) & 0x1111_1111_1111_1111
+            !(((t | (t >> 2)) & 0x1111_1111_1111_1111) * 0xF)
         }
         _ => {
             let mut t = v | (v >> 1);
             t |= t >> 2;
-            !(t | (t >> 4)) & 0x0101_0101_0101_0101
+            !(((t | (t >> 4)) & 0x0101_0101_0101_0101) * 0xFF)
         }
     }
 }
 
-/// The lowest bit of every lane: the bits [`eq_low`] can set.
+/// The digit in lane `at` of a packed lane vector.
 #[inline(always)]
-fn lane_lows<const LANE: usize>() -> u64 {
-    match LANE {
-        1 => u64::MAX,
-        4 => 0x1111_1111_1111_1111,
-        _ => 0x0101_0101_0101_0101,
-    }
+fn digit<const LANE: usize>(words: &[u64], at: usize) -> u64 {
+    (words[at * LANE / 64] >> (at * LANE % 64)) & ((1 << LANE) - 1)
 }
 
-/// The first of the longest runs of set lanes in `m` (one bit per lane, as
-/// [`eq_low`] produces), as `(start lane, length in lanes)`.
-#[inline(always)]
-fn word_run<const LANE: usize>(m: u64) -> Option<(usize, usize)> {
-    if m == 0 {
-        return None;
-    }
-    // `t` marks the lanes where a run of at least `run` set lanes starts;
-    // each step shortens every run by one lane.
-    let (mut t, mut run) = (m, 1);
-    loop {
-        let next = t & (t >> LANE);
-        if next == 0 {
-            return Some((t.trailing_zeros() as usize / LANE, run));
-        }
-        t = next;
-        run += 1;
-    }
-}
-
-/// The first longest run on one diagonal of the equality matrix — `len`
-/// lanes from `(p_start, q_start)` — as `(offset along the diagonal,
-/// length)`, provided it is at least `need` lanes long.
+/// The run of equal lanes through the middle lane `len / 2` of one
+/// diagonal of the equality matrix — `len` lanes from `(p_start,
+/// q_start)` — as `(offset along the diagonal, length)`, provided it is
+/// at least `need` lanes long.
 ///
-/// Words are walked in order with strict updates, so of equally long runs
-/// the earliest is kept. A run that reaches a word's top lane is carried
-/// into the next word and measured when it closes; the walk stops once
-/// even the carried run plus every remaining lane could not exceed the
-/// best length found.
-fn diagonal_run<const LANE: usize>(
+/// Skips the diagonal if the middle lane's digits differ. Otherwise reads
+/// one window from the middle lane up, then further windows above and
+/// below it only while the run continues.
+fn middle_run<const LANE: usize>(
     xp: &[u64],
     yp: &[u64],
     p_start: usize,
@@ -201,55 +177,42 @@ fn diagonal_run<const LANE: usize>(
     need: usize,
 ) -> Option<(usize, usize)> {
     let lanes_per_word = 64 / LANE;
-    let nbits = len * LANE;
-    let nwords = nbits.div_ceil(64);
-    let mut best = None;
-    // Only runs longer than this are recorded.
-    let mut best_len = need - 1;
-    let (mut carry_start, mut carry_len) = (0, 0);
-    for wi in 0..nwords {
-        let base = wi * lanes_per_word;
-        if carry_len + (len - base) <= best_len {
-            return best;
-        }
-        let v = shifted_word(xp, p_start * LANE, wi) ^ shifted_word(yp, q_start * LANE, wi);
-        let mut m = eq_low::<LANE>(v);
-        if wi == nwords - 1 {
-            m &= u64::MAX >> (64 * nwords - nbits);
-        }
-        // The lowest bit of every lane whose digits differ.
-        let breaks = !m & lane_lows::<LANE>();
-        if breaks == 0 {
-            if carry_len == 0 {
-                carry_start = base;
-            }
-            carry_len += lanes_per_word;
-            continue;
-        }
-        if carry_len > 0 {
-            let run = carry_len + breaks.trailing_zeros() as usize / LANE;
-            if run > best_len {
-                (best, best_len) = (Some((carry_start, run)), run);
-            }
-        }
-        // A run inside one word spans at most `lanes_per_word` lanes. The
-        // word's bottom run, which may close a carried run, is measured
-        // here only in part, so it never beats the carried run's length.
-        if best_len < lanes_per_word {
-            if let Some((start, run)) = word_run::<LANE>(m) {
-                if run > best_len {
-                    (best, best_len) = (Some((base + start, run)), run);
-                }
-            }
-        }
-        // Lanes above the highest break continue into the next word.
-        let top = lanes_per_word - 1 - (63 - breaks.leading_zeros() as usize) / LANE;
-        (carry_start, carry_len) = (base + lanes_per_word - top, top);
+    // The equal lanes of the window starting `at` lanes into the diagonal.
+    let window = |at: usize| {
+        eq_lanes::<LANE>(
+            shifted_word(xp, (p_start + at) * LANE) ^ shifted_word(yp, (q_start + at) * LANE),
+        )
+    };
+    let mid = len / 2;
+    if digit::<LANE>(xp, p_start + mid) != digit::<LANE>(yp, q_start + mid) {
+        return None;
     }
-    if carry_len > best_len {
-        best = Some((carry_start, carry_len));
+    // While a window is all equal the next one's address does not wait
+    // for the count, so the reads of a long run overlap.
+    let mut hi = mid;
+    loop {
+        let run = window(hi).trailing_ones() as usize / LANE;
+        if run < lanes_per_word || hi + run >= len {
+            hi += run;
+            break;
+        }
+        hi += lanes_per_word;
     }
-    best
+    let hi = hi.min(len);
+    if hi < need {
+        return None;
+    }
+    let mut lo = mid;
+    while lo > 0 {
+        let width = lo.min(lanes_per_word);
+        let run = (window(lo - width) << (64 - width * LANE)).leading_ones() as usize / LANE;
+        if run < width {
+            lo -= run;
+            break;
+        }
+        lo -= width;
+    }
+    (hi - lo >= need).then_some((lo, hi - lo))
 }
 
 /// Both families' running minima, updated strictly in sweep order.
@@ -315,44 +278,43 @@ impl Minima {
 
 /// Sweeps the diagonals in the fixed order — `X`-offset `c ≥ 0` (start
 /// `(c, 0)`), then `Y`-offset `c ≥ 1` (start `(0, c)`) — asking
-/// `first_longest(p_start, q_start, len, need)` for each diagonal that
-/// is at least `need` lanes long.
+/// `middle(p_start, q_start, len, need)` for the run through the middle
+/// lane of each diagonal that is at least `need` lanes long.
 #[inline(always)]
 fn sweep(
     kx: usize,
     ky: usize,
-    mut first_longest: impl FnMut(usize, usize, usize, usize) -> Option<(usize, usize)>,
+    mut middle: impl FnMut(usize, usize, usize, usize) -> Option<(usize, usize)>,
 ) -> (MatchTerm, MatchTerm) {
     let mut minima = Minima::new(kx, ky);
-    for c in 0..kx {
-        let len = (kx - c).min(ky);
-        let need = minima.need(c as i64);
+    let mut diagonal = |minima: &mut Minima, delta: i64, p_start: usize, q_start: usize| {
+        let len = (kx - p_start).min(ky - q_start);
+        let need = minima.need(delta);
         if need <= len {
-            if let Some((at, run)) = first_longest(c, 0, len, need) {
-                minima.consider(c + at, at, run);
+            // Only a run through the middle lane can reach `need`.
+            debug_assert!(2 * need > len, "need {need} on a diagonal of {len}");
+            if let Some((at, run)) = middle(p_start, q_start, len, need) {
+                minima.consider(p_start + at, q_start + at, run);
             }
         }
+    };
+    for c in 0..kx {
+        diagonal(&mut minima, c as i64, c, 0);
     }
     for c in 1..ky {
-        let len = kx.min(ky - c);
-        let need = minima.need(-(c as i64));
-        if need <= len {
-            if let Some((at, run)) = first_longest(0, c, len, need) {
-                minima.consider(at, c + at, run);
-            }
-        }
+        diagonal(&mut minima, -(c as i64), 0, c);
     }
     (minima.l, minima.r)
 }
 
 /// The sweep at lane width `LANE`: the one-`u64` path when both words fit
-/// in one word, the word-walking path otherwise.
+/// in one word, [`middle_run`]'s window walk otherwise.
 ///
-/// [`diagonal_run`] alone gives the same results for short words, but
-/// the one-`u64` path, with no carry bookkeeping or window reads,
-/// measured 1.5× faster per solve at `k = 32` and `64` (radix 2) and
-/// 1.9–2.6× faster at `k ≤ 16` (radixes 2, 3, 16, 255), in six
-/// interleaved runs on a 2-core x86-64 VM.
+/// [`middle_run`] alone gives the same results for short words, but the
+/// one-`u64` path reads both directions from one shifted word per
+/// diagonal: per solve at radix 2, best of 7 on a 2-core x86-64 VM, it
+/// took 94 vs 202 ns at `k = 8`, 339 vs 973 at `k = 32` and 687 vs
+/// 2,323 at `k = 64`, and won all three sizes again in a second run.
 fn sweep_lanes<const LANE: usize>(
     kx: usize,
     ky: usize,
@@ -363,12 +325,19 @@ fn sweep_lanes<const LANE: usize>(
         let (x, y) = (xp[0], yp[0]);
         sweep(kx, ky, |p_start, q_start, len, need| {
             let v = (x >> (p_start * LANE)) ^ (y >> (q_start * LANE));
-            let m = eq_low::<LANE>(v) & (u64::MAX >> (64 - len * LANE));
-            word_run::<LANE>(m).filter(|&(_, run)| run >= need)
+            let (mid, b) = (len / 2, len / 2 * LANE);
+            if (v >> b) & ((1 << LANE) - 1) != 0 {
+                return None;
+            }
+            let m = eq_lanes::<LANE>(v);
+            // Lanes past `len` compare shifted-in zeros; clamp them off.
+            let up = ((m >> b).trailing_ones() as usize / LANE).min(len - mid);
+            let down = ((m << (63 - b)) << 1).leading_ones() as usize / LANE;
+            (up + down >= need).then_some((mid - down, up + down))
         })
     } else {
         sweep(kx, ky, |p_start, q_start, len, need| {
-            diagonal_run::<LANE>(xp, yp, p_start, q_start, len, need)
+            middle_run::<LANE>(xp, yp, p_start, q_start, len, need)
         })
     }
 }
@@ -545,8 +514,8 @@ mod reference {
         // carry it as (start_lane, length_lanes) until it closes.
         let mut pending: Option<(usize, usize)> = None;
         for wi in 0..nwords {
-            let xw = shifted_word(xp, p_start * lane, wi);
-            let yw = shifted_word(yp, q_start * lane, wi);
+            let xw = shifted_word(xp, p_start * lane + wi * 64);
+            let yw = shifted_word(yp, q_start * lane + wi * 64);
             let mut m = eq_lanes(xw ^ yw, lane);
             if wi == nwords - 1 {
                 let rem = nbits & 63;
@@ -802,6 +771,96 @@ mod tests {
                     check_against_reference(d, &x, &y, &mut scratch);
                     check_against_reference(d, &x, &x, &mut scratch);
                     check_against_reference(d, &y, &x, &mut scratch);
+                }
+            }
+        }
+    }
+
+    /// `0^k` against `0^(k/2) 1 0^(k/2 − 1)`: on many diagonals the run
+    /// through the middle lane is as long as half the diagonal yet never
+    /// improves a minimum, so the walk reads it in full and offers nothing.
+    #[test]
+    fn long_middle_runs_that_never_improve_match_the_reference() {
+        let mut scratch = BitScratch::new();
+        for d in [2u8, 3, 17] {
+            for k in [2usize, 3, 8, 9, 16, 17, 63, 64, 65, 127, 128, 129, 200, 300] {
+                let x = vec![0u8; k];
+                let mut y = vec![0u8; k];
+                y[k / 2] = 1;
+                check_against_reference(d, &x, &y, &mut scratch);
+                check_against_reference(d, &y, &x, &mut scratch);
+            }
+        }
+    }
+
+    /// Runs of exactly ⌊len/2⌋ and ⌊len/2⌋ + 1 lanes on the main diagonal,
+    /// placed at its start, its middle and its end, with every other lane
+    /// of that diagonal differing.
+    #[test]
+    fn runs_of_half_the_diagonal_and_one_more_match_the_reference() {
+        let mut scratch = BitScratch::new();
+        let mut rng = Rng::new(0x5EED_0021);
+        for d in [2u8, 3, 17] {
+            for k in [2usize, 3, 7, 8, 15, 16, 17, 33, 64, 65, 129, 200] {
+                for run in [k / 2, k / 2 + 1] {
+                    for start in [0, (k - run) / 2, k - run] {
+                        let x: Vec<u8> = (0..k).map(|_| rng.below(d as usize) as u8).collect();
+                        let mut y: Vec<u8> = x.iter().map(|&v| (v + 1) % d).collect();
+                        y[start..start + run].copy_from_slice(&x[start..start + run]);
+                        check_against_reference(d, &x, &y, &mut scratch);
+                        check_against_reference(d, &y, &x, &mut scratch);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Middle lanes on and beside a 64-bit word boundary, for every lane
+    /// width: the main diagonal of `k = 2·w` lanes (`w` lanes per word) has
+    /// its middle lane at bit 64, and runs through it cross the boundary
+    /// in either direction or stop at it.
+    #[test]
+    fn middle_lanes_on_word_boundaries_match_the_reference() {
+        let mut scratch = BitScratch::new();
+        for d in [2u8, 3, 17] {
+            let w = 64 / lane_bits(d);
+            for k in [w - 1, w, w + 1, 2 * w - 1, 2 * w, 2 * w + 1, 4 * w] {
+                for cut in [0, 1, w - 1, w, w + 1, k / 2, k / 2 + 1, k - 1] {
+                    for len in [1, w / 2, w, 2 * w] {
+                        // Equal everywhere except a break of `len` lanes
+                        // from `cut`, which may cover the middle lane.
+                        let x: Vec<u8> = (0..k).map(|i| (i % 2) as u8).collect();
+                        let mut y = x.clone();
+                        for v in y.iter_mut().skip(cut).take(len) {
+                            *v = (*v + 1) % d;
+                        }
+                        check_against_reference(d, &x, &y, &mut scratch);
+                        check_against_reference(d, &y, &x, &mut scratch);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `kx ≠ ky` across the one-word / multi-word switch of every lane
+    /// width, on random words with a planted common block.
+    #[test]
+    fn unequal_lengths_match_the_reference() {
+        let mut scratch = BitScratch::new();
+        let mut rng = Rng::new(0x5EED_0022);
+        for d in [2u8, 3, 17] {
+            let w = 64 / lane_bits(d);
+            let sizes = [1, 2, w / 2, w - 1, w, w + 1, 2 * w + 3, 5 * w];
+            for &kx in &sizes {
+                for &ky in &sizes {
+                    for _ in 0..4 {
+                        let mut x: Vec<u8> = (0..kx).map(|_| rng.below(d as usize) as u8).collect();
+                        let y: Vec<u8> = (0..ky).map(|_| rng.below(d as usize) as u8).collect();
+                        let n = 1 + rng.below(kx.min(ky));
+                        let (a, b) = (rng.below(kx - n + 1), rng.below(ky - n + 1));
+                        x[a..a + n].copy_from_slice(&y[b..b + n]);
+                        check_against_reference(d, &x, &y, &mut scratch);
+                    }
                 }
             }
         }

@@ -8,8 +8,10 @@
 //! scalar route (same `Display` rendering, same tie-breaks) at every
 //! position — regardless of how the batch was ordered or how the kernel
 //! tiered the work (shared context, BFS column, or scalar fall-through).
-//! A final case drives the service's cached batch path and checks both
-//! bodies and cache counters against per-query evaluation.
+//! Undirected groups of every size from 1 to 33 cover both sides of the
+//! kernel's sweep floor on one-word and multi-word diagonals. A final
+//! case drives the service's cached batch path and checks both bodies
+//! and cache counters against per-query evaluation.
 
 use debruijn_core::distance::undirected::{distance_with, Engine};
 use debruijn_core::rng::SplitMix64;
@@ -118,6 +120,52 @@ fn batched_routes_are_byte_identical_to_scalar_routes() {
                         assert!(routes[i].leads_to(x, y) || x == y);
                     }
                 }
+            }
+        }
+    }
+}
+
+/// One group per size from 1 to 33, shuffled together: undirected
+/// groups below the batched distance kernel's sweep floor (8 sources)
+/// take the packed sweep, larger ones the suffix-automaton scan, so this
+/// covers sizes 1, floor − 1, floor and floor + 1 for any floor up to
+/// 32. The shapes give one-word (k·lane ≤ 64) and multi-word diagonals
+/// for every lane width.
+#[test]
+fn undirected_groups_around_the_sweep_floor_match_scalar_engines() {
+    let mut scratch = BatchScratch::new();
+    let (mut dists, mut routes) = (Vec::new(), Vec::new());
+    for (d, k) in [(2u8, 64usize), (2, 130), (3, 16), (3, 17), (17, 8), (17, 9)] {
+        let mut rng = SplitMix64::new(0xF100 ^ (u64::from(d) << 8) ^ k as u64);
+        let word = |rng: &mut SplitMix64| {
+            Word::new(d, (0..k).map(|_| rng.below_usize(d.into()) as u8).collect()).unwrap()
+        };
+        let mut pairs = Vec::new();
+        for size in 1..=33 {
+            let y = word(&mut rng);
+            for s in 0..size {
+                // One source of each larger group is the destination.
+                let x = if s == 1 { y.clone() } else { word(&mut rng) };
+                pairs.push((x, y.clone()));
+            }
+        }
+        rng.shuffle(&mut pairs);
+        // The naive and Morris–Pratt engines are too slow for every pair
+        // at k ≥ 64.
+        let engines: &[Engine] = if k > 20 {
+            &[Engine::Auto, Engine::BitParallel]
+        } else {
+            &ENGINES
+        };
+        for &engine in engines {
+            distance_batch_into(&pairs, false, engine, &mut scratch, &mut dists);
+            route_batch_into(&pairs, false, engine, &mut scratch, &mut routes);
+            for (i, (x, y)) in pairs.iter().enumerate() {
+                let what = format!("d={d} k={k} {x} {y} {engine:?}");
+                assert_eq!(dists[i], distance_with(engine, x, y), "{what}");
+                let want = route_with_engine(x, y, engine);
+                assert_eq!(routes[i].to_string(), want.to_string(), "{what}");
+                assert_eq!(routes[i].len(), dists[i], "{what}");
             }
         }
     }
