@@ -9,12 +9,72 @@
 //! require regenerating the whole file first.
 //!
 //! The files are the restricted JSON emitted by
-//! [`debruijn_bench::JsonReport`], read with
-//! [`debruijn_bench::parse_points`]; this binary must not pull in a JSON
-//! dependency just for that.
+//! [`debruijn_bench::JsonReport`] (flat objects, `[a-z0-9_]` names, no
+//! escapes), so a key-scanning parser is sufficient; this binary must
+//! not pull in a JSON dependency just for that.
 
-use debruijn_bench::{parse_points, Point};
 use std::process::ExitCode;
+
+#[derive(Debug, PartialEq)]
+struct Point {
+    bench: String,
+    series: String,
+    size: u64,
+    value: f64,
+}
+
+/// The quoted value following `"key":"` at `text`'s next occurrence,
+/// together with the remainder after the closing quote.
+fn quoted_after<'a>(text: &'a str, key: &str) -> Option<(&'a str, &'a str)> {
+    let tag = format!("\"{key}\":\"");
+    let start = text.find(&tag)? + tag.len();
+    let rest = &text[start..];
+    let end = rest.find('"')?;
+    Some((&rest[..end], &rest[end + 1..]))
+}
+
+/// The number following `"key":` at `text`'s next occurrence.
+fn number_after<'a>(text: &'a str, key: &str) -> Option<(f64, &'a str)> {
+    let tag = format!("\"{key}\":");
+    let start = text.find(&tag)? + tag.len();
+    let rest = &text[start..];
+    let end = rest
+        .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
+        .unwrap_or(rest.len());
+    let value = rest[..end].parse().ok()?;
+    Some((value, &rest[end..]))
+}
+
+/// All measurement points in a `BENCH_results.json`-format string.
+fn parse_points(text: &str) -> Result<Vec<Point>, String> {
+    let mut points = Vec::new();
+    let mut rest = text;
+    while let Some((bench, after_bench)) = quoted_after(rest, "bench") {
+        // This bench's results run until the next "bench" key (or EOF).
+        let body_end = after_bench
+            .find("\"bench\":\"")
+            .unwrap_or(after_bench.len());
+        let mut body = &after_bench[..body_end];
+        while let Some((series, after_series)) = quoted_after(body, "series") {
+            let (size, after_size) = number_after(after_series, "size")
+                .ok_or_else(|| format!("{bench}/{series}: missing \"size\""))?;
+            let (value, after_value) = number_after(after_size, "value")
+                .ok_or_else(|| format!("{bench}/{series}: missing \"value\""))?;
+            points.push(Point {
+                bench: bench.to_string(),
+                series: series.to_string(),
+                size: size as u64,
+                value,
+            });
+            body = after_value;
+        }
+        rest = &after_bench[body_end..];
+    }
+    if points.is_empty() {
+        return Err("no measurement points found".to_string());
+    }
+    Ok(points)
+}
 
 /// Candidate points more than `threshold_pct` percent above their
 /// baseline, as printable report lines.

@@ -22,8 +22,9 @@
 //!   undirected distance *values*, one packed sweep for undirected
 //!   *routes* (byte-identical minimizers to the scalar bit-parallel
 //!   engine, see [`DestinationContext::both_family_minima`]). Undirected
-//!   distance groups below `SWEEP_GROUP_FLOOR` sources use that packed
-//!   sweep too, since the automaton build would not amortize;
+//!   distance groups of fewer than 8 sources (4 once a diagonal spans more
+//!   than one `u64`) use that packed sweep too, since the automaton build
+//!   would not amortize;
 //! * **distance column** — when the whole vertex set is enumerable
 //!   ([`RankSpace`], at most [`COLUMN_MAX_NODES`] vertices) and the group
 //!   is large enough that one reverse BFS from the destination
@@ -46,24 +47,34 @@ use crate::routing::{self, RoutePath, RoutingScratch, Step};
 use crate::space::{DeBruijn, RankSpace};
 use crate::word::Word;
 use debruijn_strings::failure::overlap_with_scratch;
-use debruijn_strings::DestinationContext;
+use debruijn_strings::{bitmatch, DestinationContext};
 
 /// The distance-column tier is considered only for spaces with at most
 /// this many vertices (the BFS allocates 4 bytes per vertex).
 pub const COLUMN_MAX_NODES: u64 = 1 << 20;
 
-/// Undirected distance groups smaller than this are answered with the
-/// packed Theorem-2 sweep ([`DestinationContext::both_family_minima`])
-/// instead of the suffix-automaton scan, whose two per-destination
-/// builds only pay off over larger groups. Per group, best of 9 on a
-/// 2-core x86-64 VM, the sweep and the automaton tie at about 8–12
-/// sources for d=2, k=64 (one-word diagonals; 13.1 vs 13.6 µs at 8), at
-/// about 4 for k=128 (25.7 vs 24.0 µs at 4) and above 24 for d=17, k=8.
-/// On perfbench batch_skewed (k=64, 10 s, seeds 31/32) floors of 8, 12,
-/// 16 and 24 read 709k/764k, 753k/741k, 739k/748k and 733k/686k pairs/s
-/// against 649k/681k with no sweep tier. `batched_query`'s skewed groups
-/// (19 sources and up) stay on the automaton.
-const SWEEP_GROUP_FLOOR: usize = 8;
+/// The size from which an undirected distance group goes to the
+/// suffix-automaton scan. Smaller groups are answered with the packed
+/// Theorem-2 sweep ([`DestinationContext::both_family_minima`]), since the
+/// automaton's two per-destination builds only pay off over larger groups.
+/// A diagonal longer than one `u64` (`k·lane_bits(d) > 64`) costs the sweep
+/// about four times as much, so the tie comes sooner. Per group, best of 9
+/// on a 2-core x86-64 VM, sweep over automaton time: one-word diagonals tie
+/// at 8 sources for d=2, k=64 (12.2 vs 12.2 µs), and the sweep still wins
+/// at 7 for d ∈ {2, 3, 16, 17} (0.41–0.78×); multi-word diagonals win at 3
+/// (0.28–0.91× for d ∈ {2, 3, 17}, k from 9 to 512) and lose at 4 for d=2,
+/// k from 65 to 512 (1.11–1.18×). On perfbench batch_skewed (k=64, 10 s,
+/// seeds 31/32) floors of 8, 12, 16 and 24 read 709k/764k, 753k/741k,
+/// 739k/748k and 733k/686k pairs/s against 649k/681k with no sweep tier.
+/// `batched_query`'s skewed groups (19 sources and up) stay on the
+/// automaton.
+fn sweep_group_floor(d: u8, k: usize) -> usize {
+    if k * bitmatch::lane_bits(d) <= 64 {
+        8
+    } else {
+        4
+    }
+}
 
 /// Reusable buffers for the batched kernels: the per-destination context,
 /// the grouping keys, and the BFS column. One scratch per worker thread
@@ -346,7 +357,9 @@ fn distance_group(
             let i = i as usize;
             out[i] = k - scratch.ctx.overlap(pairs[i].0.digits());
         }
-    } else if grp.len() < SWEEP_GROUP_FLOOR && engine.resolve(y.radix(), k) == Engine::BitParallel {
+    } else if grp.len() < sweep_group_floor(y.radix(), k)
+        && engine.resolve(y.radix(), k) == Engine::BitParallel
+    {
         scratch.ctx.set_destination(y.radix(), y.digits());
         for &i in grp {
             let i = i as usize;

@@ -126,11 +126,11 @@ fn batched_routes_are_byte_identical_to_scalar_routes() {
 }
 
 /// One group per size from 1 to 33, shuffled together: undirected
-/// groups below the batched distance kernel's sweep floor (8 sources)
-/// take the packed sweep, larger ones the suffix-automaton scan, so this
-/// covers sizes 1, floor − 1, floor and floor + 1 for any floor up to
-/// 32. The shapes give one-word (k·lane ≤ 64) and multi-word diagonals
-/// for every lane width.
+/// groups below the batched distance kernel's sweep floor (8 sources on
+/// one-word diagonals, 4 on longer ones) take the packed sweep, larger
+/// ones the suffix-automaton scan, so this covers sizes 1, floor − 1,
+/// floor and floor + 1 for any floor up to 32. The shapes give one-word
+/// (k·lane ≤ 64) and multi-word diagonals for every lane width.
 #[test]
 fn undirected_groups_around_the_sweep_floor_match_scalar_engines() {
     let mut scratch = BatchScratch::new();
