@@ -27,10 +27,10 @@
 # bench self-gates identifying-code fault monitors to at most 2%
 # ns/msg over a monitors-off run (--max-monitor-overhead-pct, see
 # docs/OBSERVABILITY.md "Localizing faults"). The batched-query bench
-# self-gates the destination-major kernel's absolute ns per query on
-# undirected destination-skewed batches to at most 1.6x the checked-in
-# series at each k (--max-slowdown; see docs/PERFORMANCE.md "The
-# regression gate"). ci.sh runs this as its performance smoke.
+# has no gate of its own: bench_check's comparison covers its absolute
+# ns per query, the destination-major kernel's undirected skewed series
+# included (see docs/PERFORMANCE.md "The regression gate"). ci.sh runs
+# this as its performance smoke.
 set -eu
 
 out=BENCH_results.json
@@ -43,8 +43,7 @@ if [ "${1:-}" = "--check" ]; then
     tmp=$(mktemp)
     trap 'rm -f "$tmp"' EXIT
     dist_line=$(cargo bench -q -p debruijn-bench --bench distance_engines -- --json)
-    batch_line=$(cargo bench -q -p debruijn-bench --bench batched_query -- \
-        --json --max-slowdown 1.6)
+    batch_line=$(cargo bench -q -p debruijn-bench --bench batched_query -- --json)
     sim_line=$(cargo bench -q -p debruijn-bench --bench simulation_throughput -- \
         --json --max-scrape-overhead-pct 2)
     scale_line=$(cargo bench -q -p debruijn-bench --bench simulation_scaling -- \

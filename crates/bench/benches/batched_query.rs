@@ -16,12 +16,12 @@
 //! [`debruijn_bench::JsonReport`]) instead of the table; `bench.sh`
 //! collects those lines into `BENCH_results.json`.
 //!
-//! Self-gating: `--min-batch-speedup N` exits non-zero if the batched
-//! kernel fails to beat the scalar loop by `N`x on the undirected
-//! skewed series at any measured `k`. Speedup is a higher-is-better
-//! ratio, so it is gated here rather than by `bench_check`'s
-//! lower-is-better rule; the ns series themselves still feed the
-//! regression comparison.
+//! Gating: `bench.sh --check` hands the JSON line to `bench_check`,
+//! which fails any series more than 30% above its checked-in
+//! `BENCH_results.json` point, among them the batched kernel's absolute
+//! ns per query on the undirected skewed batches at each `k`
+//! (`batched_undirected_skew`). The bench gates no ratio of its own:
+//! a faster scalar engine must not fail the batched kernel.
 
 use debruijn_bench::{json_mode, median_nanos_per_call, random_pairs, random_word, JsonReport};
 use debruijn_core::distance::directed;
@@ -34,18 +34,6 @@ const BATCH: usize = 1024;
 const HOT_DESTINATIONS: usize = 16;
 const ZIPF_EXPONENT: f64 = 1.0;
 const REPS: usize = 5;
-
-/// The number following `flag`, if present.
-fn flag_value(flag: &str) -> Option<f64> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == flag)?;
-    let value = args.get(i + 1).and_then(|v| v.parse().ok());
-    if value.is_none() {
-        eprintln!("{flag} needs a number");
-        std::process::exit(2);
-    }
-    value
-}
 
 /// A destination-skewed batch: uniform random sources, destinations
 /// drawn from a `HOT_DESTINATIONS`-word pool with Zipf weight
@@ -107,7 +95,6 @@ fn time_batched(pairs: &[(Word, Word)], directed: bool) -> f64 {
 
 fn main() {
     let json = json_mode();
-    let min_batch_speedup = flag_value("--min-batch-speedup");
     let mut report = JsonReport::new("batched_query", "ns_per_query");
 
     if !json {
@@ -121,7 +108,6 @@ fn main() {
         );
     }
 
-    let mut undirected_skew_speedups = Vec::new();
     for k in [64usize, 128] {
         let skew = skewed_pairs(2, k, 0xBA7C ^ k as u64);
         let uniform = random_pairs(2, k, BATCH, 0x0114 ^ k as u64);
@@ -143,31 +129,8 @@ fn main() {
                          {speedup:>8.1}x"
                     );
                 }
-                if !directed_graph && shape == "skew" {
-                    undirected_skew_speedups.push((k, speedup));
-                }
             }
         }
-    }
-
-    if let Some(limit) = min_batch_speedup {
-        for (k, speedup) in &undirected_skew_speedups {
-            if *speedup < limit {
-                eprintln!(
-                    "batched kernel only {speedup:.2}x the scalar loop on undirected \
-                     skewed batches at k={k}, below the {limit}x floor"
-                );
-                std::process::exit(1);
-            }
-        }
-        let worst = undirected_skew_speedups
-            .iter()
-            .map(|(_, s)| *s)
-            .fold(f64::INFINITY, f64::min);
-        eprintln!(
-            "batched kernel {worst:.2}x the scalar loop on undirected skewed \
-             batches (worst k) meets the {limit}x floor"
-        );
     }
 
     if json {

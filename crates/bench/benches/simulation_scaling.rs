@@ -194,7 +194,8 @@ const PROFILE_MESSAGES: usize = 10_000;
 
 /// The engine-profiler gate behind `--max-profile-overhead-pct`: at
 /// default sampling the profiled run must stay within `limit` percent
-/// of the unprofiled one on the scaling workload, and profiling must
+/// of the unprofiled one on its own uniform burst of `PROFILE_MESSAGES`
+/// messages at 1 thread over `SHARDS` shards, and profiling must
 /// not perturb any observable output — report, event trace, and
 /// recorder metrics are asserted byte-identical across a {1,4}x{1,4}
 /// shard/thread grid. The estimate — the median of per-pair ratios —

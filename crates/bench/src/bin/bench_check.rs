@@ -175,7 +175,7 @@ mod tests {
 
     const SAMPLE: &str = r#"[
 {"bench":"distance_engines","unit":"ns_per_pair","results":[{"series":"mp","size":8,"value":100.0},{"series":"mp","size":32,"value":400.5}]},
-{"bench":"simulation_throughput","unit":"ns_per_message","results":[{"series":"alg2","size":1000,"value":5738.5}]}
+{"bench":"simulation_throughput","unit":"ns_per_message","overhead_pct":2.61,"results":[{"series":"alg2","size":1000,"value":5738.5}]}
 ]"#;
 
     #[test]

@@ -56,71 +56,6 @@ pub fn json_mode() -> bool {
     std::env::args().any(|a| a == "--json")
 }
 
-/// One `(bench, series, size)` measurement of a `BENCH_results.json`-format
-/// file.
-#[derive(Debug, PartialEq)]
-pub struct Point {
-    pub bench: String,
-    pub series: String,
-    pub size: u64,
-    pub value: f64,
-}
-
-/// The quoted value following `"key":"` at `text`'s next occurrence,
-/// together with the remainder after the closing quote.
-fn quoted_after<'a>(text: &'a str, key: &str) -> Option<(&'a str, &'a str)> {
-    let tag = format!("\"{key}\":\"");
-    let start = text.find(&tag)? + tag.len();
-    let rest = &text[start..];
-    let end = rest.find('"')?;
-    Some((&rest[..end], &rest[end + 1..]))
-}
-
-/// The number following `"key":` at `text`'s next occurrence.
-fn number_after<'a>(text: &'a str, key: &str) -> Option<(f64, &'a str)> {
-    let tag = format!("\"{key}\":");
-    let start = text.find(&tag)? + tag.len();
-    let rest = &text[start..];
-    let end = rest
-        .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    let value = rest[..end].parse().ok()?;
-    Some((value, &rest[end..]))
-}
-
-/// All measurement points in a `BENCH_results.json`-format string: the
-/// restricted JSON [`JsonReport`] emits (flat objects, `[a-z0-9_]` names,
-/// no escapes), so a key-scanning parser is sufficient.
-pub fn parse_points(text: &str) -> Result<Vec<Point>, String> {
-    let mut points = Vec::new();
-    let mut rest = text;
-    while let Some((bench, after_bench)) = quoted_after(rest, "bench") {
-        // This bench's results run until the next "bench" key (or EOF).
-        let body_end = after_bench
-            .find("\"bench\":\"")
-            .unwrap_or(after_bench.len());
-        let mut body = &after_bench[..body_end];
-        while let Some((series, after_series)) = quoted_after(body, "series") {
-            let (size, after_size) = number_after(after_series, "size")
-                .ok_or_else(|| format!("{bench}/{series}: missing \"size\""))?;
-            let (value, after_value) = number_after(after_size, "value")
-                .ok_or_else(|| format!("{bench}/{series}: missing \"value\""))?;
-            points.push(Point {
-                bench: bench.to_string(),
-                series: series.to_string(),
-                size: size as u64,
-                value,
-            });
-            body = after_value;
-        }
-        rest = &after_bench[body_end..];
-    }
-    if points.is_empty() {
-        return Err("no measurement points found".to_string());
-    }
-    Ok(points)
-}
-
 /// Accumulates `(series, size, value)` measurements and renders them
 /// as one JSON line:
 ///
@@ -153,8 +88,8 @@ impl JsonReport {
     }
 
     /// Records a self-gate's reading as a top-level `"key":value` field
-    /// beside the results, where [`parse_points`] and `bench_check` do
-    /// not read it. `key` shares the naming restriction of [`push`].
+    /// beside the results, where `bench_check` does not read it. `key`
+    /// shares the naming restriction of [`push`].
     ///
     /// [`push`]: JsonReport::push
     pub fn field(&mut self, key: &str, value: f64) {
@@ -230,19 +165,15 @@ mod tests {
     }
 
     #[test]
-    fn json_report_fields_stay_out_of_the_points() {
+    fn json_report_renders_fields_before_the_results() {
         let mut r = JsonReport::new("demo", "ns_per_call");
         r.push("fast", 8, 12.34);
         r.field("overhead_pct", 0.456);
-        let line = r.render();
         assert_eq!(
-            line,
+            r.render(),
             "{\"bench\":\"demo\",\"unit\":\"ns_per_call\",\"overhead_pct\":0.46,\
              \"results\":[{\"series\":\"fast\",\"size\":8,\"value\":12.3}]}"
         );
-        let points = parse_points(&line).unwrap();
-        assert_eq!(points.len(), 1);
-        assert_eq!((points[0].series.as_str(), points[0].value), ("fast", 12.3));
     }
 
     #[test]
