@@ -127,15 +127,24 @@ echo "== sharded determinism smoke =="
 # the JSONL trace, and the metrics block are byte-identical no matter
 # how many shards and threads execute it (the in-crate tests cover the
 # full grid; this drives it end to end through the CLI).
-# Both runs write the same trace path so the printed reports (which
-# name it) stay byte-comparable; the first trace is copied aside.
+# Both runs write the same trace paths so the printed reports (which
+# name them) stay byte-comparable; the first run's files are copied
+# aside. The --progress lines (stderr) and the Chrome trace are
+# compared too.
 ./target/release/dbr simulate 2 8 --messages 3000 --shards 1 --threads 1 \
-    --metrics --trace "$smoke_dir/shard.jsonl" > "$smoke_dir/shard11.txt"
+    --metrics --trace "$smoke_dir/shard.jsonl" --progress 500 \
+    --chrome-trace "$smoke_dir/shard.json" \
+    > "$smoke_dir/shard11.txt" 2> "$smoke_dir/shard11.err"
 cp "$smoke_dir/shard.jsonl" "$smoke_dir/shard11.jsonl"
+cp "$smoke_dir/shard.json" "$smoke_dir/shard11.json"
 ./target/release/dbr simulate 2 8 --messages 3000 --shards 4 --threads 4 \
-    --metrics --trace "$smoke_dir/shard.jsonl" > "$smoke_dir/shard44.txt"
+    --metrics --trace "$smoke_dir/shard.jsonl" --progress 500 \
+    --chrome-trace "$smoke_dir/shard.json" \
+    > "$smoke_dir/shard44.txt" 2> "$smoke_dir/shard44.err"
 cmp "$smoke_dir/shard11.txt" "$smoke_dir/shard44.txt"
 cmp "$smoke_dir/shard11.jsonl" "$smoke_dir/shard.jsonl"
+cmp "$smoke_dir/shard11.err" "$smoke_dir/shard44.err"
+cmp "$smoke_dir/shard11.json" "$smoke_dir/shard.json"
 echo "1 shard / 1 thread and 4 shards / 4 threads agree byte for byte"
 # A Zipf burst dense enough that shard pairs exchange thousands of
 # entries per window (the bounded ring mailboxes of earlier versions
