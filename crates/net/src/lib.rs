@@ -23,14 +23,15 @@
 //! * [`workload`] — reproducible traffic patterns (uniform random,
 //!   permutation, hotspot, all-pairs);
 //! * [`record`] — pluggable observability: a [`Recorder`] sink trait fed
-//!   span-style [`NetEvent`]s by [`ShardedSimulation::run_recorded`], with
-//!   in-memory histogram/counter aggregation ([`InMemoryRecorder`]) and
-//!   line-delimited JSON export ([`record::JsonlRecorder`]);
+//!   span-style [`NetEvent`]s by [`ShardedSimulation::run_recorded`], one
+//!   fold of events into counters and distributions ([`EventFold`],
+//!   exact as [`InMemoryRecorder`]) and line-delimited JSON export
+//!   ([`record::JsonlRecorder`]);
 //! * [`telemetry`] — bounded-memory aggregation for production-scale
 //!   runs: `O(1)`-record log-bucketed histograms ([`LogHistogram`]),
-//!   per-link/per-node accumulators ([`Telemetry`]), periodic progress
-//!   snapshots ([`SnapshotRecorder`]), and Chrome trace-event export
-//!   ([`ChromeTraceRecorder`]);
+//!   the fold plus per-link accumulators ([`Telemetry`]), periodic
+//!   progress snapshots ([`SnapshotRecorder`]), and Chrome trace-event
+//!   export ([`ChromeTraceRecorder`]);
 //! * [`metrics`] — a unified [`MetricsRegistry`](metrics::MetricsRegistry)
 //!   of named counters/gauges/histograms with Prometheus text export, a
 //!   std-only HTTP scrape server ([`metrics::ScrapeServer`]), and an
@@ -81,11 +82,13 @@ pub use policy::WildcardPolicy;
 pub use profiler::{
     CriticalPath, EngineProfile, HopSpan, Phase, ProfileConfig, SampledDelivery, SpanSampler,
 };
-pub use record::{DropReason, EventClass, InMemoryRecorder, NetEvent, NullRecorder, Recorder};
+pub use record::{
+    DropReason, EventClass, EventFold, InMemoryRecorder, NetEvent, NullRecorder, Recorder,
+};
 pub use router::RouterKind;
 pub use service::{QueryService, ServiceConfig};
 pub use shard::{NextHopMode, ShardedSimulation};
-pub use stats::{Histogram, SimReport};
+pub use stats::{ExactHistogram, SimReport};
 pub use telemetry::{ChromeTraceRecorder, LogHistogram, SnapshotRecorder, Telemetry};
 
 /// Behavioural tests of the whole simulation (`sim/tests.rs`); the

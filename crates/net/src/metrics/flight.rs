@@ -5,8 +5,8 @@
 //! it. A [`FlightRecorder`] keeps the last `capacity` [`NetEvent`]s in
 //! a ring buffer and watches a set of [`AnomalyTriggers`]; when one
 //! fires, the buffered window (ending with the triggering event) is
-//! frozen and — if a dump path is configured — written as JSONL via
-//! [`render_json`], so the existing `dbr trace summary/links/hist`
+//! frozen and — if a dump path is configured — written as JSONL by a
+//! [`JsonlRecorder`], so the existing `dbr trace summary/links/hist`
 //! toolkit works unchanged on the post-mortem dump.
 //!
 //! The recorder re-arms after each capture: the ring and the burst
@@ -21,10 +21,10 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
 
-use crate::record::{render_json, DropReason, NetEvent, Recorder};
+use crate::record::{DropReason, JsonlRecorder, NetEvent, Recorder};
 
 /// Hard cap on captures per run: a sustained breach (every forward
 /// over the queue limit, say) re-fires on each qualifying event, and
@@ -343,14 +343,11 @@ impl FlightRecorder {
 
     fn dump(&mut self, window: &[NetEvent], seq: usize) {
         let Some(path) = &self.dump_path else { return };
-        let path = numbered_path(path, seq);
-        let result = (|| -> io::Result<()> {
-            let mut out = BufWriter::new(File::create(path)?);
-            for event in window {
-                writeln!(out, "{}", render_json(event))?;
-            }
-            out.flush()
-        })();
+        let result = File::create(numbered_path(path, seq)).and_then(|file| {
+            let mut out = JsonlRecorder::new(BufWriter::new(file));
+            window.iter().for_each(|event| out.record(event));
+            out.finish().map(drop)
+        });
         if let Err(e) = result {
             self.error.get_or_insert(e);
         }

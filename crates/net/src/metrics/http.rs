@@ -8,9 +8,11 @@
 //! `docs/adr/0004-metrics-registry-and-flight-recorder.md` for the
 //! trade-off against hyper/tokio.
 //!
-//! Built-in routes: `/metrics` (the registry, Prometheus text format)
-//! and `/healthz`. Extra routes plug in via [`HttpHandler`] (the
-//! `dbr serve` distance/route query endpoints).
+//! Routes: `/metrics` (the registry, Prometheus text format) and
+//! `/healthz`; any other path gets `404`, and any method but `GET`
+//! `405`. `dbr serve`'s query endpoints run on
+//! [`QueryService`](crate::QueryService)'s own keep-alive server, which
+//! shares [`read_request`] and the response writer with this one.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -42,16 +44,6 @@ impl HttpResponse {
     pub fn ok(body: impl Into<String>) -> Self {
         Self {
             status: 200,
-            content_type: "text/plain; charset=utf-8".to_string(),
-            body: body.into(),
-            retry_after: None,
-        }
-    }
-
-    /// A `400 Bad Request` plain-text response.
-    pub fn bad_request(body: impl Into<String>) -> Self {
-        Self {
-            status: 400,
             content_type: "text/plain; charset=utf-8".to_string(),
             body: body.into(),
             retry_after: None,
@@ -284,11 +276,6 @@ pub(crate) fn write_response(
     stream.flush()
 }
 
-/// A pluggable route: receives the request target (path plus query
-/// string, e.g. `/distance?x=0110&y=1011`) and returns `Some` response
-/// to claim it, `None` to fall through to `404`.
-pub type HttpHandler = Arc<dyn Fn(&str) -> Option<HttpResponse> + Send + Sync>;
-
 fn status_reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
@@ -337,20 +324,6 @@ impl ScrapeServer {
     ///
     /// Returns the bind or thread-spawn error.
     pub fn bind(addr: impl ToSocketAddrs, registry: Arc<MetricsRegistry>) -> io::Result<Self> {
-        Self::bind_with_handler(addr, registry, None)
-    }
-
-    /// Like [`ScrapeServer::bind`], with an extra route handler
-    /// consulted for any target the built-in routes don't claim.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind or thread-spawn error.
-    pub fn bind_with_handler(
-        addr: impl ToSocketAddrs,
-        registry: Arc<MetricsRegistry>,
-        handler: Option<HttpHandler>,
-    ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -366,7 +339,7 @@ impl ScrapeServer {
                     // Serve inline: scrape traffic is one request per
                     // connection and tiny; per-connection errors only
                     // affect that client.
-                    let _ = serve_connection(&mut stream, &registry, handler.as_ref());
+                    let _ = serve_connection(&mut stream, &registry);
                 }
             })?;
         Ok(Self {
@@ -442,11 +415,7 @@ impl Drop for ScrapeServer {
 /// close-per-request; the keep-alive query plane lives in
 /// [`crate::service::QueryService`], which shares [`read_request`] /
 /// [`write_response`].
-fn serve_connection(
-    stream: &mut TcpStream,
-    registry: &Arc<MetricsRegistry>,
-    handler: Option<&HttpHandler>,
-) -> io::Result<()> {
+fn serve_connection(stream: &mut TcpStream, registry: &Arc<MetricsRegistry>) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let request = match read_request(&mut reader) {
@@ -459,19 +428,19 @@ fn serve_connection(
             return Err(e);
         }
     };
-    let response = route(&request.method, &request.target, registry, handler);
+    let response = route(&request.method, &request.target, registry);
     let endpoint = match request.target.split('?').next().unwrap_or("") {
-        path @ ("/metrics" | "/healthz") => path.to_string(),
-        path if response.status != 404 => path.to_string(),
-        // Unknown paths share one label to keep cardinality bounded.
-        _ => "other".to_string(),
+        path @ ("/metrics" | "/healthz") => path,
+        // Every other path shares one label, so no client can grow the
+        // registry.
+        _ => "other",
     };
     registry
         .counter_with(
             "dbr_http_requests_total",
             "HTTP requests served, by endpoint and status.",
             &[
-                ("endpoint", &endpoint),
+                ("endpoint", endpoint),
                 ("status", &response.status.to_string()),
             ],
         )
@@ -479,12 +448,7 @@ fn serve_connection(
     write_response(stream, &response, false)
 }
 
-fn route(
-    method: &str,
-    target: &str,
-    registry: &Arc<MetricsRegistry>,
-    handler: Option<&HttpHandler>,
-) -> HttpResponse {
+fn route(method: &str, target: &str, registry: &Arc<MetricsRegistry>) -> HttpResponse {
     if method != "GET" {
         return HttpResponse::text(405, "only GET is supported\n");
     }
@@ -496,12 +460,7 @@ fn route(
             retry_after: None,
         },
         "/healthz" => HttpResponse::ok("ok\n"),
-        _ => {
-            if let Some(response) = handler.and_then(|h| h(target)) {
-                return response;
-            }
-            HttpResponse::text(404, "not found\n")
-        }
+        _ => HttpResponse::text(404, "not found\n"),
     }
 }
 
@@ -581,28 +540,25 @@ mod tests {
     }
 
     #[test]
-    fn custom_handler_claims_unrouted_targets() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let handler: HttpHandler = Arc::new(|target: &str| {
-            target
-                .strip_prefix("/echo?")
-                .map(|q| HttpResponse::ok(format!("{q}\n")))
-        });
-        let server =
-            ScrapeServer::bind_with_handler("127.0.0.1:0", Arc::clone(&registry), Some(handler))
-                .unwrap();
+    fn unrouted_paths_share_one_label() {
+        let (server, registry) = test_server();
         let addr = server.local_addr();
-        assert_eq!(ScrapeServer::get(addr, "/echo?x=1").unwrap(), "x=1\n");
-        assert!(ScrapeServer::get(addr, "/other").is_err());
-        // Handler-claimed endpoints are counted under their path.
-        assert_eq!(
-            registry.snapshot().counter_value(
-                "dbr_http_requests_total",
-                &[("endpoint", "/echo"), ("status", "200")]
-            ),
-            Some(1)
-        );
+        for i in 0..5 {
+            let request = format!("POST /probe-{i} HTTP/1.1\r\nHost: t\r\n\r\n");
+            let response = raw_request(addr, &request);
+            assert!(response.starts_with("HTTP/1.1 405 "), "{response}");
+        }
         server.shutdown();
+        let snap = registry.snapshot();
+        let requests = &snap.families["dbr_http_requests_total"];
+        assert_eq!(requests.series.len(), 1, "{:?}", requests.series);
+        assert_eq!(
+            snap.counter_value(
+                "dbr_http_requests_total",
+                &[("endpoint", "other"), ("status", "405")]
+            ),
+            Some(5)
+        );
     }
 
     #[test]

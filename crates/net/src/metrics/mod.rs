@@ -56,8 +56,8 @@ pub use export::{FamilySnapshot, GaugeMerge, LabelSet, MetricKind, MetricValue, 
 pub use flight::{numbered_path, Anomaly, AnomalyTriggers, Burst, FlightRecorder, MAX_CAPTURES};
 pub(crate) use http::write_response;
 pub use http::{
-    read_request, HeadTooLarge, HttpHandler, HttpRequest, HttpResponse, ScrapeServer,
-    MAX_HEAD_LINE, PROMETHEUS_CONTENT_TYPE,
+    read_request, HeadTooLarge, HttpRequest, HttpResponse, ScrapeServer, MAX_HEAD_LINE,
+    PROMETHEUS_CONTENT_TYPE,
 };
 pub use recorder::{register_core_profile, replay_sharded, RegistryRecorder};
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry};

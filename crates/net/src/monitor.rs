@@ -35,7 +35,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::Path;
 use std::time::Instant;
 
@@ -44,7 +44,7 @@ use debruijn_graph::identifying::{self, IdentifyError};
 use debruijn_graph::DebruijnGraph;
 
 use crate::metrics::MetricsRegistry;
-use crate::record::{DropReason, EventClass, NetEvent, Recorder};
+use crate::record::{DropReason, EventClass, JsonlRecorder, NetEvent, Recorder};
 
 /// How many retained anomaly events [`MonitorSet::dump_evidence`] can
 /// write (oldest evicted first).
@@ -295,8 +295,7 @@ impl MonitorSet {
 
     /// Writes the retained anomaly window (the events behind the
     /// flags, oldest first, capped at [`EVIDENCE_CAPACITY`]) as a
-    /// flight-recorder-style JSONL dump — one
-    /// [`render_json`](crate::record::render_json) line per event,
+    /// flight-recorder-style JSONL dump through a [`JsonlRecorder`],
     /// replayable by `dbr trace` and
     /// [`parse_event`](crate::record::parse_event).
     ///
@@ -304,11 +303,9 @@ impl MonitorSet {
     ///
     /// Propagates file-creation and write errors.
     pub fn dump_evidence(&self, path: &Path) -> io::Result<()> {
-        let mut out = io::BufWriter::new(std::fs::File::create(path)?);
-        for event in &self.evidence {
-            writeln!(out, "{}", crate::record::render_json(event))?;
-        }
-        out.flush()
+        let mut out = JsonlRecorder::new(io::BufWriter::new(std::fs::File::create(path)?));
+        self.evidence.iter().for_each(|event| out.record(event));
+        out.finish().map(drop)
     }
 
     /// Number of retained evidence events.

@@ -41,7 +41,7 @@ use debruijn_core::rng::SplitMix64;
 use debruijn_parallel::BarrierWait;
 
 use crate::metrics::MetricsRegistry;
-use crate::telemetry::LogHistogram;
+use crate::telemetry::{ChromeTraceRecorder, LogHistogram};
 
 /// One phase of the sharded engine's windowed loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -828,43 +828,29 @@ impl EngineProfile {
     }
 
     /// A Chrome trace-event JSON array with one lane (thread track)
-    /// per shard carrying its phase slices — same framing as the
-    /// simulator's [`ChromeTraceRecorder`](crate::ChromeTraceRecorder),
-    /// so the file loads in `chrome://tracing` / Perfetto. Wall-clock
-    /// nanoseconds map to the format's microseconds with fractional
-    /// precision. Empty (but valid) when slices were not recorded.
+    /// per shard carrying its phase slices, written by the simulator's
+    /// [`ChromeTraceRecorder`], so the file loads in `chrome://tracing`
+    /// / Perfetto. Wall-clock nanoseconds map to the format's
+    /// microseconds with fractional precision. Empty (but valid) when
+    /// slices were not recorded.
     pub fn chrome_trace(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let lead = |out: &mut String| {
-            out.push_str(if out.is_empty() { "[\n" } else { ",\n" });
-        };
+        let mut chrome = ChromeTraceRecorder::new(Vec::new());
         for sp in &self.shard_profs {
-            lead(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\
-                 \"args\":{{\"name\":\"shard {} (worker {})\"}}}}",
-                sp.sid, sp.sid, sp.worker
-            );
+            let lane = format!("shard {} (worker {})", sp.sid, sp.worker);
+            chrome.track_name(sp.sid as u64, &lane);
         }
         for s in &self.slices {
-            lead(&mut out);
-            let _ = write!(
-                out,
+            chrome.emit(&format!(
                 "{{\"name\":\"{}\",\"cat\":\"engine\",\"ph\":\"X\",\"ts\":{:.3},\
                  \"dur\":{:.3},\"pid\":0,\"tid\":{}}}",
                 s.phase.name(),
                 s.start_nanos as f64 / 1000.0,
                 s.dur_nanos as f64 / 1000.0,
                 s.sid
-            );
+            ));
         }
-        if out.is_empty() {
-            out.push('[');
-        }
-        out.push_str("\n]\n");
-        out
+        let bytes = chrome.finish().expect("writing to a Vec cannot fail");
+        String::from_utf8(bytes).expect("trace records are ASCII")
     }
 
     /// Publishes the profile into a [`MetricsRegistry`] as labeled

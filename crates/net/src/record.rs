@@ -13,10 +13,12 @@
 //!   [`Recorder::enabled`] gate lets the simulator skip event
 //!   construction entirely when nobody listens;
 //! * [`NullRecorder`] — the default sink: disabled, zero-cost;
-//! * [`InMemoryRecorder`] — exact histograms (per-hop latency, queue
-//!   wait/depth, hop counts, stretch over the shortest distance
-//!   `D(X,Y)`) and counters (wildcard resolutions per policy and
-//!   digit, reroutes, drops per reason);
+//! * [`EventFold`] — the one mapping of events onto counters
+//!   (wildcard resolutions per policy and digit, reroutes, drops per
+//!   reason) and six distributions (per-hop latency, queue wait/depth,
+//!   hop counts, stretch over the shortest distance `D(X,Y)`, latency),
+//!   generic over the histogram kind; [`InMemoryRecorder`] is the fold
+//!   into exact histograms;
 //! * [`JsonlRecorder`] — line-delimited JSON export for offline
 //!   analysis, with a parser ([`parse_event`]) so traces round-trip.
 //!
@@ -30,7 +32,8 @@ use std::io;
 use debruijn_core::{ShiftKind, Word};
 
 use crate::policy::WildcardPolicy;
-use crate::stats::Histogram;
+use crate::stats::ExactHistogram;
+use crate::telemetry::LogHistogram;
 
 /// Why a message left the network without being delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -401,6 +404,62 @@ impl Recorder for FanoutRecorder<'_> {
     }
 }
 
+/// A histogram an [`EventFold`] folds its distributions into: the
+/// exact [`ExactHistogram`] or the bounded [`LogHistogram`].
+pub trait Distribution: Default {
+    /// Adds one observation.
+    fn record(&mut self, value: u64);
+}
+
+impl Distribution for ExactHistogram {
+    fn record(&mut self, value: u64) {
+        ExactHistogram::record(self, value);
+    }
+}
+
+impl Distribution for LogHistogram {
+    fn record(&mut self, value: u64) {
+        LogHistogram::record(self, value);
+    }
+}
+
+/// The counters and six distributions of one event stream, over either
+/// histogram kind: the one place a [`NetEvent`] maps onto metrics.
+/// [`InMemoryRecorder`] folds into exact histograms;
+/// [`Telemetry`](crate::Telemetry) folds into log-bucketed ones and adds
+/// per-link accumulators.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct EventFold<H> {
+    /// Messages that entered the network.
+    pub injected: u64,
+    /// Messages accepted at their destination.
+    pub delivered: u64,
+    /// Messages lost, by [`DropReason::name`].
+    pub drops_by_reason: BTreeMap<&'static str, u64>,
+    /// Fault-avoiding route computations.
+    pub reroutes: u64,
+    /// Per-hop latency: handover to arrival (queue wait + service +
+    /// propagation), one observation per forward.
+    pub per_hop_latency: H,
+    /// Ticks each forward waited for a busy link.
+    pub queue_wait: H,
+    /// Messages already queued on the chosen link at each handover.
+    pub queue_depth: H,
+    /// Hops per delivered message (the paper's route length).
+    pub hops: H,
+    /// `hops − D(X,Y)` per delivered message: 0 for optimal routing,
+    /// positive under fault detours or the trivial router.
+    pub stretch: H,
+    /// End-to-end delivery latency in ticks.
+    pub latency: H,
+    /// Wildcard resolutions by policy name.
+    pub wildcard_by_policy: BTreeMap<&'static str, u64>,
+    /// Wildcard resolutions by substituted digit — the balancing the
+    /// paper's §3 Remark anticipates is visible as a flat digit
+    /// distribution.
+    pub wildcard_by_digit: BTreeMap<u8, u64>,
+}
+
 /// In-memory metrics: exact histograms and counters over one run.
 ///
 /// # Examples
@@ -421,40 +480,10 @@ impl Recorder for FanoutRecorder<'_> {
 /// assert_eq!(metrics.stretch.min(), Some(0));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct InMemoryRecorder {
-    /// Messages that entered the network.
-    pub injected: u64,
-    /// Messages accepted at their destination.
-    pub delivered: u64,
-    /// Messages lost, by [`DropReason::name`].
-    pub drops_by_reason: BTreeMap<&'static str, u64>,
-    /// Fault-avoiding route computations.
-    pub reroutes: u64,
-    /// Per-hop latency: handover to arrival (queue wait + service +
-    /// propagation), one observation per forward.
-    pub per_hop_latency: Histogram,
-    /// Ticks each forward waited for a busy link.
-    pub queue_wait: Histogram,
-    /// Messages already queued on the chosen link at each handover.
-    pub queue_depth: Histogram,
-    /// Hops per delivered message (the paper's route length).
-    pub hops: Histogram,
-    /// `hops − D(X,Y)` per delivered message: 0 for optimal routing,
-    /// positive under fault detours or the trivial router.
-    pub stretch: Histogram,
-    /// End-to-end delivery latency in ticks.
-    pub latency: Histogram,
-    /// Wildcard resolutions by policy name.
-    pub wildcard_by_policy: BTreeMap<&'static str, u64>,
-    /// Wildcard resolutions by substituted digit — the balancing the
-    /// paper's §3 Remark anticipates is visible as a flat digit
-    /// distribution.
-    pub wildcard_by_digit: BTreeMap<u8, u64>,
-}
+pub type InMemoryRecorder = EventFold<ExactHistogram>;
 
-impl InMemoryRecorder {
-    /// An empty recorder.
+impl<H: Distribution> EventFold<H> {
+    /// An empty fold.
     pub fn new() -> Self {
         Self::default()
     }
@@ -464,13 +493,20 @@ impl InMemoryRecorder {
         self.drops_by_reason.values().sum()
     }
 
+    /// Messages injected but not yet delivered or dropped.
+    pub fn in_flight(&self) -> u64 {
+        self.injected
+            .saturating_sub(self.delivered)
+            .saturating_sub(self.dropped())
+    }
+
     /// Total wildcard resolutions.
     pub fn wildcards_resolved(&self) -> u64 {
         self.wildcard_by_digit.values().sum()
     }
 }
 
-impl Recorder for InMemoryRecorder {
+impl<H: Distribution> Recorder for EventFold<H> {
     fn record(&mut self, event: &NetEvent) {
         match event {
             NetEvent::Inject { .. } => self.injected += 1,

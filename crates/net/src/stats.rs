@@ -1,5 +1,5 @@
 //! Simulation statistics: hop counts, latency, link loads, and the
-//! exact-value [`Histogram`] backing the observability layer.
+//! [`ExactHistogram`] backing the `--metrics` report.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -14,9 +14,9 @@ use std::fmt;
 /// # Examples
 ///
 /// ```
-/// use debruijn_net::stats::Histogram;
+/// use debruijn_net::ExactHistogram;
 ///
-/// let mut h = Histogram::new();
+/// let mut h = ExactHistogram::new();
 /// for v in [1, 2, 2, 3] {
 ///     h.record(v);
 /// }
@@ -26,13 +26,13 @@ use std::fmt;
 /// assert_eq!(h.max(), Some(3));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Histogram {
+pub struct ExactHistogram {
     buckets: BTreeMap<u64, u64>,
     count: u64,
     sum: u128,
 }
 
-impl Histogram {
+impl ExactHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Self::default()
@@ -128,7 +128,7 @@ impl Histogram {
     }
 }
 
-impl fmt::Display for Histogram {
+impl fmt::Display for ExactHistogram {
     /// Renders one `value  count  bar` row per bucket, bar scaled to
     /// the fullest bucket; empty histograms render as `(empty)`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

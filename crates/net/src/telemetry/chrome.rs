@@ -6,7 +6,9 @@
 //! node's track for every queue wait and every link transit, and a
 //! nestable async (`"b"`/`"e"`) span per message covering its whole
 //! inject→deliver/drop lifetime. Simulator ticks map 1:1 to
-//! microseconds, the format's base unit.
+//! microseconds, the format's base unit. The engine profile's shard
+//! lanes ([`EngineProfile::chrome_trace`](crate::EngineProfile::chrome_trace))
+//! go through the same writer.
 //!
 //! [trace-event JSON array format]:
 //!     https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
@@ -87,7 +89,8 @@ impl<W: io::Write> ChromeTraceRecorder<W> {
         Ok(self.out)
     }
 
-    fn emit(&mut self, record: &str) {
+    /// Appends one trace record (a JSON object) to the array.
+    pub(crate) fn emit(&mut self, record: &str) {
         if self.error.is_some() {
             return;
         }
@@ -112,11 +115,16 @@ impl<W: io::Write> ChromeTraceRecorder<W> {
         }
         let tid = self.tids.len() as u64;
         self.tids.insert(rank, tid);
+        self.track_name(tid, &format!("node {word}"));
+        tid
+    }
+
+    /// Names track `tid` with a `thread_name` metadata record.
+    pub(crate) fn track_name(&mut self, tid: u64, name: &str) {
         self.emit(&format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\
-             \"args\":{{\"name\":\"node {word}\"}}}}"
+             \"args\":{{\"name\":\"{name}\"}}}}"
         ));
-        tid
     }
 }
 

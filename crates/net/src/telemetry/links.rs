@@ -1,4 +1,4 @@
-//! Per-link and per-node accumulators.
+//! Per-link accumulators.
 //!
 //! The paper's §3 wildcard remark is a *per-link* statement: free `*`
 //! positions let the network spread traffic so no single link melts.
@@ -60,21 +60,6 @@ impl LinkStat {
     }
 }
 
-/// Accumulated statistics of one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NodeStat {
-    /// Messages injected with this node as source.
-    pub injected: u64,
-    /// Messages this node handed to an outgoing link.
-    pub forwarded: u64,
-    /// Messages accepted here (this node was the destination).
-    pub delivered: u64,
-    /// Messages lost while resident at this node.
-    pub dropped: u64,
-    /// Wildcard `*` steps this node resolved.
-    pub wildcards: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,10 +86,5 @@ mod tests {
         let s = LinkStat::default();
         assert_eq!(s.mean_queue_wait(), 0.0);
         assert_eq!(s.utilization(100), 0.0);
-        let n = NodeStat::default();
-        assert_eq!(
-            n.injected + n.forwarded + n.delivered + n.dropped + n.wildcards,
-            0
-        );
     }
 }

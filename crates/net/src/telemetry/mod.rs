@@ -7,24 +7,23 @@
 //!
 //! * [`LogHistogram`] — `O(1)`-record log-bucketed histogram with
 //!   ≤ 0.8% quantile error (vs the exact but unbounded
-//!   [`Histogram`](crate::stats::Histogram));
-//! * [`Telemetry`] — a recorder aggregating
-//!   log-bucketed distributions plus per-link and per-node
-//!   accumulators ([`LinkStat`], [`NodeStat`]): utilization,
-//!   queue-depth high-water marks, forwarded/dropped counts — the
-//!   per-link view the paper's wildcard-balancing remark calls for;
+//!   [`ExactHistogram`](crate::ExactHistogram));
+//! * [`Telemetry`] — the [`EventFold`] of the stream (counters and
+//!   six distributions, log-bucketed by default) plus per-link
+//!   accumulators ([`LinkStat`]): utilization, queue-depth high-water
+//!   marks, forward counts — the per-link view the paper's
+//!   wildcard-balancing remark calls for;
 //! * [`SnapshotRecorder`] — wraps [`Telemetry`] and prints an
 //!   in-flight summary every N simulated ticks
 //!   (`dbr simulate --progress N`);
-//! * [`ChromeTraceRecorder`] — exports the event stream in Chrome
-//!   trace-event JSON (Perfetto/`chrome://tracing` compatible), one
-//!   track per node (`dbr simulate --chrome-trace`, `dbr trace
-//!   export`).
+//! * [`ChromeTraceRecorder`] — the one Chrome trace-event writer
+//!   (Perfetto/`chrome://tracing` compatible): one track per node for
+//!   the event stream (`dbr simulate --chrome-trace`, `dbr trace
+//!   export`), and the engine profile's shard lanes.
 //!
-//! All state is bounded by the *network* (links, nodes, in-flight
-//! messages), never by the number of events recorded. See
-//! `docs/OBSERVABILITY.md` for the CLI surface and
-//! `docs/adr/0002-exact-vs-log-bucketed-histograms.md` for the
+//! All state is bounded by the *network* (links), never by the number
+//! of events recorded. See `docs/OBSERVABILITY.md` for the CLI surface
+//! and `docs/adr/0002-exact-vs-log-bucketed-histograms.md` for the
 //! histogram trade-off.
 
 mod chrome;
@@ -33,21 +32,22 @@ mod loghist;
 mod snapshot;
 
 pub use chrome::ChromeTraceRecorder;
-pub use links::{LinkStat, NodeStat};
+pub use links::LinkStat;
 pub use loghist::LogHistogram;
 pub use snapshot::SnapshotRecorder;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::record::{NetEvent, Recorder};
+use crate::record::{Distribution, EventFold, NetEvent, Recorder};
 
-/// Bounded-memory aggregation of one event stream: log-bucketed
-/// distributions, counters, and per-link/per-node accumulators.
+/// One event stream's [`EventFold`] plus per-link accumulators and the
+/// clock, over log-bucketed histograms by default; `dbr trace` folds
+/// into `Telemetry<ExactHistogram>` instead, so its reports stay exact.
 ///
-/// Memory is `O(links + nodes + in-flight messages)`, independent of
-/// how many events are recorded; every [`Telemetry::record`] is
-/// `O(1)` (amortized — map entries are created once per link/node).
+/// Memory is `O(links)` with [`LogHistogram`]s, independent of how
+/// many events are recorded; every [`Telemetry::record`] is `O(1)`
+/// (amortized — map entries are created once per link).
 ///
 /// # Examples
 ///
@@ -61,76 +61,39 @@ use crate::record::{NetEvent, Recorder};
 /// let traffic = workload::uniform_random(space, 500, 3);
 /// let mut t = Telemetry::new();
 /// let report = sim.run_recorded(&traffic, &mut t);
-/// assert_eq!(t.delivered, report.delivered as u64);
-/// assert_eq!(t.hops.count(), 500);
-/// assert_eq!(t.in_flight(), 0);
+/// assert_eq!(t.fold.delivered, report.delivered as u64);
+/// assert_eq!(t.fold.hops.count(), 500);
+/// assert_eq!(t.fold.in_flight(), 0);
 /// // Per-link loads sum to the total hop count.
 /// let forwards: u64 = t.links.values().map(|l| l.forwarded).sum();
 /// assert_eq!(forwards, report.total_hops);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct Telemetry {
-    /// Messages that entered the network.
-    pub injected: u64,
-    /// Messages accepted at their destination.
-    pub delivered: u64,
-    /// Messages lost, by [`DropReason::name`](crate::DropReason::name).
-    pub drops_by_reason: BTreeMap<&'static str, u64>,
-    /// Fault-avoiding route computations.
-    pub reroutes: u64,
-    /// Wildcard resolutions by substituted digit.
-    pub wildcard_by_digit: BTreeMap<u8, u64>,
-    /// Hops per delivered message.
-    pub hops: LogHistogram,
-    /// `hops − D(X,Y)` per delivered message.
-    pub stretch: LogHistogram,
-    /// End-to-end delivery latency in ticks.
-    pub latency: LogHistogram,
-    /// Per-hop latency (handover to arrival).
-    pub per_hop_latency: LogHistogram,
-    /// Ticks each forward waited for a busy link.
-    pub queue_wait: LogHistogram,
-    /// Messages queued ahead at each handover.
-    pub queue_depth: LogHistogram,
+pub struct Telemetry<H = LogHistogram> {
+    /// Counters and distributions.
+    pub fold: EventFold<H>,
     /// Per-directed-link accumulators, keyed by `(from, to)` word
     /// ranks.
     pub links: BTreeMap<(u128, u128), LinkStat>,
-    /// Per-node accumulators, keyed by word rank.
-    pub nodes: BTreeMap<u128, NodeStat>,
-    /// Largest event time seen (the makespan so far).
+    /// The clock: the largest tick seen, at a forward its `arrives`
+    /// (the makespan so far). An injection never advances it; the
+    /// engine emits each injection at its tick, and the message's first
+    /// forward, reroute, delivery or drop follows it at that tick.
     pub last_time: u64,
-    /// Display forms of every rank seen (for rendering tables).
+    /// Display form of every link endpoint seen.
     names: BTreeMap<u128, String>,
-    /// Current node of each live message (for attributing terminal
-    /// events to nodes). Entries are removed on deliver/drop.
-    locations: HashMap<usize, u128>,
 }
 
 impl Telemetry {
-    /// An empty aggregator.
+    /// An empty aggregator over log-bucketed histograms.
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Total messages lost.
-    pub fn dropped(&self) -> u64 {
-        self.drops_by_reason.values().sum()
-    }
-
-    /// Messages injected but not yet delivered or dropped.
-    pub fn in_flight(&self) -> u64 {
-        self.injected
-            .saturating_sub(self.delivered)
-            .saturating_sub(self.dropped())
-    }
-
-    /// Total wildcard resolutions.
-    pub fn wildcards_resolved(&self) -> u64 {
-        self.wildcard_by_digit.values().sum()
-    }
-
-    /// Display form of a recorded rank (`?` if never seen).
+impl<H> Telemetry<H> {
+    /// Display form of a link endpoint's rank (`?` if never seen).
     pub fn name_of(&self, rank: u128) -> &str {
         self.names.get(&rank).map_or("?", String::as_str)
     }
@@ -153,46 +116,14 @@ impl Telemetry {
         let mean = total as f64 / self.links.len() as f64;
         Some(max / mean)
     }
-
-    fn remember(&mut self, rank: u128, word: &debruijn_core::Word) {
-        self.names.entry(rank).or_insert_with(|| word.to_string());
-    }
-
-    fn touch(&mut self, time: u64) {
-        self.last_time = self.last_time.max(time);
-    }
 }
 
-impl Recorder for Telemetry {
+impl<H: Distribution> Recorder for Telemetry<H> {
     fn record(&mut self, event: &NetEvent) {
-        match event {
-            NetEvent::Inject {
-                message,
-                source,
-                destination,
-                ..
-            } => {
-                self.injected += 1;
-                let src = source.rank();
-                self.remember(src, source);
-                self.remember(destination.rank(), destination);
-                self.nodes.entry(src).or_default().injected += 1;
-                self.locations.insert(*message, src);
-                // Injections are recorded up front, before the event
-                // loop runs; they do not advance the clock.
-            }
-            NetEvent::WildcardResolved {
-                time, at, digit, ..
-            } => {
-                let rank = at.rank();
-                self.remember(rank, at);
-                self.nodes.entry(rank).or_default().wildcards += 1;
-                *self.wildcard_by_digit.entry(*digit).or_insert(0) += 1;
-                self.touch(*time);
-            }
+        self.fold.record(event);
+        let now = match event {
+            NetEvent::Inject { .. } => return,
             NetEvent::Forward {
-                time,
-                message,
                 from,
                 to,
                 departs,
@@ -201,55 +132,20 @@ impl Recorder for Telemetry {
                 queue_depth,
                 ..
             } => {
-                self.per_hop_latency.record(arrives.saturating_sub(*time));
-                self.queue_wait.record(*queue_wait);
-                self.queue_depth.record(*queue_depth as u64);
-                let (f, t) = (from.rank(), to.rank());
-                self.remember(f, from);
-                self.remember(t, to);
-                self.links.entry((f, t)).or_default().record_forward(
+                let link = (from.rank(), to.rank());
+                self.names.entry(link.0).or_insert_with(|| from.to_string());
+                self.names.entry(link.1).or_insert_with(|| to.to_string());
+                self.links.entry(link).or_default().record_forward(
                     *departs,
                     *arrives,
                     *queue_wait,
                     *queue_depth,
                 );
-                self.nodes.entry(f).or_default().forwarded += 1;
-                self.locations.insert(*message, t);
-                self.touch(*arrives);
+                *arrives
             }
-            NetEvent::Reroute { time, .. } => {
-                self.reroutes += 1;
-                self.touch(*time);
-            }
-            NetEvent::Deliver {
-                time,
-                message,
-                hops,
-                latency,
-                shortest,
-            } => {
-                self.delivered += 1;
-                self.hops.record(*hops as u64);
-                self.stretch.record(hops.saturating_sub(*shortest) as u64);
-                self.latency.record(*latency);
-                if let Some(rank) = self.locations.remove(message) {
-                    self.nodes.entry(rank).or_default().delivered += 1;
-                }
-                self.touch(*time);
-            }
-            NetEvent::Drop {
-                time,
-                message,
-                reason,
-                ..
-            } => {
-                *self.drops_by_reason.entry(reason.name()).or_insert(0) += 1;
-                if let Some(rank) = self.locations.remove(message) {
-                    self.nodes.entry(rank).or_default().dropped += 1;
-                }
-                self.touch(*time);
-            }
-        }
+            other => other.time(),
+        };
+        self.last_time = self.last_time.max(now);
     }
 }
 
@@ -257,29 +153,30 @@ impl fmt::Display for Telemetry {
     /// Renders the bounded-memory summary: counters, distribution
     /// one-liners, and the five hottest links.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fold = &self.fold;
         writeln!(
             f,
             "messages: {} injected, {} delivered, {} dropped, {} in flight",
-            self.injected,
-            self.delivered,
-            self.dropped(),
-            self.in_flight()
+            fold.injected,
+            fold.delivered,
+            fold.dropped(),
+            fold.in_flight()
         )?;
-        for (reason, n) in &self.drops_by_reason {
+        for (reason, n) in &fold.drops_by_reason {
             writeln!(f, "  dropped ({reason}): {n}")?;
         }
-        if self.reroutes > 0 {
-            writeln!(f, "fault-avoiding reroutes: {}", self.reroutes)?;
+        if fold.reroutes > 0 {
+            writeln!(f, "fault-avoiding reroutes: {}", fold.reroutes)?;
         }
-        writeln!(f, "hops:          {}", self.hops.summary())?;
-        writeln!(f, "stretch:       {}", self.stretch.summary())?;
-        writeln!(f, "latency:       {}", self.latency.summary())?;
-        writeln!(f, "per-hop:       {}", self.per_hop_latency.summary())?;
-        writeln!(f, "queue wait:    {}", self.queue_wait.summary())?;
-        writeln!(f, "queue depth:   {}", self.queue_depth.summary())?;
-        if !self.wildcard_by_digit.is_empty() {
-            write!(f, "wildcards:     {} resolved (", self.wildcards_resolved())?;
-            for (i, (digit, n)) in self.wildcard_by_digit.iter().enumerate() {
+        writeln!(f, "hops:          {}", fold.hops.summary())?;
+        writeln!(f, "stretch:       {}", fold.stretch.summary())?;
+        writeln!(f, "latency:       {}", fold.latency.summary())?;
+        writeln!(f, "per-hop:       {}", fold.per_hop_latency.summary())?;
+        writeln!(f, "queue wait:    {}", fold.queue_wait.summary())?;
+        writeln!(f, "queue depth:   {}", fold.queue_depth.summary())?;
+        if !fold.wildcard_by_digit.is_empty() {
+            write!(f, "wildcards:     {} resolved (", fold.wildcards_resolved())?;
+            for (i, (digit, n)) in fold.wildcard_by_digit.iter().enumerate() {
                 if i > 0 {
                     write!(f, ", ")?;
                 }
@@ -373,20 +270,14 @@ mod tests {
             upstream: None,
         });
 
-        assert_eq!(t.injected, 2);
-        assert_eq!(t.delivered, 1);
-        assert_eq!(t.dropped(), 1);
-        assert_eq!(t.in_flight(), 0);
-        assert_eq!(t.wildcards_resolved(), 1);
+        assert_eq!(t.fold.injected, 2);
+        assert_eq!(t.fold.delivered, 1);
+        assert_eq!(t.fold.dropped(), 1);
+        assert_eq!(t.fold.in_flight(), 0);
+        assert_eq!(t.fold.wildcards_resolved(), 1);
         assert_eq!(t.last_time, 5);
         let src = w("0110").rank();
         let dst = w("1011").rank();
-        assert_eq!(t.nodes[&src].injected, 1);
-        assert_eq!(t.nodes[&src].forwarded, 1);
-        assert_eq!(t.nodes[&src].wildcards, 1);
-        assert_eq!(t.nodes[&dst].delivered, 1);
-        // Message 1 was dropped while still at its source.
-        assert_eq!(t.nodes[&w("0000").rank()].dropped, 1);
         let link = t.links[&(src, dst)];
         assert_eq!(link.forwarded, 1);
         assert_eq!(link.queue_depth_high_water, 1);
@@ -412,6 +303,7 @@ mod tests {
             fan.push(&mut bounded);
             sim.run_recorded(&traffic, &mut fan);
         }
+        let bounded = &bounded.fold;
         assert_eq!(bounded.injected, exact.injected);
         assert_eq!(bounded.delivered, exact.delivered);
         assert_eq!(bounded.hops.count(), exact.hops.count());

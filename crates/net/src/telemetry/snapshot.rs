@@ -12,9 +12,11 @@ use crate::telemetry::Telemetry;
 /// The snapshot clock follows *processed* events (forwards,
 /// deliveries, drops, wildcard resolutions, reroutes), which the
 /// simulator emits in non-decreasing time order; injection events are
-/// aggregated but do not advance the clock, because the simulator
-/// records all of them up front. A snapshot is emitted at the first
-/// processed event whose time reaches the next `every`-tick boundary.
+/// aggregated but do not advance the clock. The engine emits each
+/// injection at its tick, between the forwards, and the message's
+/// first processed event follows it at the same tick. A snapshot is
+/// emitted at the first processed event whose time reaches the next
+/// `every`-tick boundary.
 ///
 /// Write errors are sticky: after the first failure no further
 /// snapshots are written (aggregation continues), and
@@ -33,7 +35,7 @@ use crate::telemetry::Telemetry;
 /// let mut snap = SnapshotRecorder::new(50, Vec::new());
 /// sim.run_recorded(&traffic, &mut snap);
 /// let (telemetry, out) = snap.finish()?;
-/// assert_eq!(telemetry.delivered, 400);
+/// assert_eq!(telemetry.fold.delivered, 400);
 /// let text = String::from_utf8(out)?;
 /// assert!(text.lines().count() >= 2, "several 50-tick boundaries passed");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -84,6 +86,7 @@ impl<W: io::Write> SnapshotRecorder<W> {
             return;
         }
         let t = &self.telemetry;
+        let fold = &t.fold;
         let hottest = t
             .hottest_links()
             .first()
@@ -98,13 +101,13 @@ impl<W: io::Write> SnapshotRecorder<W> {
             .unwrap_or_default();
         let line = format!(
             "[t {time}] in flight {} | delivered {}/{} dropped {} | hops mean {:.3} p99 {} | latency p99 {}{hottest}",
-            t.in_flight(),
-            t.delivered,
-            t.injected,
-            t.dropped(),
-            t.hops.mean(),
-            t.hops.percentile(99.0).unwrap_or(0),
-            t.latency.percentile(99.0).unwrap_or(0),
+            fold.in_flight(),
+            fold.delivered,
+            fold.injected,
+            fold.dropped(),
+            fold.hops.mean(),
+            fold.hops.percentile(99.0).unwrap_or(0),
+            fold.latency.percentile(99.0).unwrap_or(0),
         );
         if let Err(e) = writeln!(self.out, "{line}") {
             self.error = Some(e);
@@ -174,7 +177,7 @@ mod tests {
             });
         }
         let (t, out) = snap.finish().unwrap();
-        assert_eq!(t.injected, 100);
+        assert_eq!(t.fold.injected, 100);
         assert!(out.is_empty(), "no processed events, no snapshots");
     }
 
@@ -199,7 +202,7 @@ mod tests {
             at: Word::parse(2, "1011").unwrap(),
             upstream: None,
         });
-        assert_eq!(snap.telemetry().dropped(), 1, "aggregation continued");
+        assert_eq!(snap.telemetry().fold.dropped(), 1, "aggregation continued");
         assert!(snap.finish().is_err());
     }
 

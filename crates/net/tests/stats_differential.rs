@@ -2,14 +2,14 @@
 //!
 //! A deliberately naive reference — keep every sample in a sorted
 //! `Vec` — pins down what `percentile`, `variance` and `std_dev` must
-//! mean. The exact [`Histogram`] must agree with it bit for bit; the
+//! mean. The [`ExactHistogram`] must agree with it bit for bit; the
 //! log-bucketed [`LogHistogram`] must agree within its documented
 //! error bound (and the 2% bound the telemetry layer promises) on a
 //! million-sample run.
 
 use debruijn_core::rng::SplitMix64;
 use debruijn_net::telemetry::LogHistogram;
-use debruijn_net::Histogram;
+use debruijn_net::ExactHistogram;
 
 /// The reference semantics, spelled out on a plain sorted vector.
 struct Naive {
@@ -88,7 +88,7 @@ fn exact_histogram_matches_naive_reference() {
     for (name, gen) in distributions() {
         for seed in [1u64, 7, 0xDEAD] {
             let mut rng = SplitMix64::new(seed);
-            let mut h = Histogram::new();
+            let mut h = ExactHistogram::new();
             let mut values = Vec::new();
             for _ in 0..3000 {
                 let v = gen(&mut rng);
@@ -122,7 +122,7 @@ fn exact_histogram_matches_naive_reference() {
 
 #[test]
 fn exact_histogram_percentile_edges() {
-    let mut h = Histogram::new();
+    let mut h = ExactHistogram::new();
     for v in [10u64, 20, 30] {
         h.record(v);
     }
@@ -131,7 +131,7 @@ fn exact_histogram_percentile_edges() {
     assert_eq!(h.percentile(0.0), Some(10));
     assert_eq!(h.percentile(100.0), Some(30));
     assert_eq!(h.percentile(33.4), Some(20));
-    assert!(Histogram::new().percentile(50.0).is_none());
+    assert!(ExactHistogram::new().percentile(50.0).is_none());
 }
 
 /// The acceptance bound the telemetry layer documents for quantiles.

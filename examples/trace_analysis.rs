@@ -22,7 +22,7 @@ use debruijn_suite::core::DeBruijn;
 use debruijn_suite::net::record::JsonlRecorder;
 use debruijn_suite::net::telemetry::LogHistogram;
 use debruijn_suite::net::{
-    workload, Recorder, RouterKind, ShardedSimulation, SimConfig, Telemetry,
+    workload, InMemoryRecorder, Recorder, RouterKind, ShardedSimulation, SimConfig, Telemetry,
 };
 use debruijn_suite::trace::{self, TraceMetric};
 
@@ -86,19 +86,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 5. The bounded-memory telemetry sees the same distribution the
     //    exact histograms do, within its documented error bound.
     let mut telemetry = Telemetry::new();
+    let mut memory = InMemoryRecorder::new();
     for event in &loaded.events {
         telemetry.record(event);
+        memory.record(event);
     }
-    let (memory, _) = {
-        let mut m = debruijn_suite::net::InMemoryRecorder::new();
-        for event in &loaded.events {
-            m.record(event);
-        }
-        (m, ())
-    };
     for p in [50.0, 99.0] {
         let exact = memory.latency.percentile(p).unwrap_or(0) as f64;
-        let approx = telemetry.latency.percentile(p).unwrap_or(0) as f64;
+        let approx = telemetry.fold.latency.percentile(p).unwrap_or(0) as f64;
         let err = (approx - exact).abs() / exact.max(1.0);
         println!(
             "latency p{p:>2}: exact {exact:>4}, log-bucketed {approx:>4} (err {:.3}% <= {:.3}%)",

@@ -25,7 +25,7 @@ use std::io;
 use debruijn_analysis::Table;
 use debruijn_net::record::parse_event;
 use debruijn_net::telemetry::ChromeTraceRecorder;
-use debruijn_net::{InMemoryRecorder, LogHistogram, NetEvent, Recorder, Telemetry};
+use debruijn_net::{ExactHistogram, LogHistogram, NetEvent, Recorder, Telemetry};
 
 /// A parsed trace file: the radix used to decode addresses plus the
 /// event stream in file order.
@@ -33,8 +33,8 @@ use debruijn_net::{InMemoryRecorder, LogHistogram, NetEvent, Recorder, Telemetry
 pub struct Trace {
     /// Digit radix the addresses were decoded with.
     pub d: u8,
-    /// Events in file order (injections first, then time-ordered
-    /// processing, as the simulator wrote them).
+    /// Events in file order: time order, as the simulator wrote them,
+    /// each injection at its tick between the forwards.
     pub events: Vec<NetEvent>,
 }
 
@@ -136,8 +136,8 @@ pub fn infer_radix(text: &str) -> u8 {
 /// Shared by the live `dbr simulate` report (fed from
 /// [`SimReport::dropped_by_reason`](debruijn_net::SimReport)) and the
 /// offline [`summary`] (fed from the replayed
-/// [`InMemoryRecorder::drops_by_reason`]), so the two renderings stay
-/// byte-identical and CI can diff them.
+/// [`EventFold::drops_by_reason`](debruijn_net::EventFold::drops_by_reason)),
+/// so the two renderings stay byte-identical and CI can diff them.
 pub fn drop_breakdown(by_reason: &BTreeMap<&'static str, u64>) -> String {
     let total: u64 = by_reason.values().sum();
     if total == 0 {
@@ -147,15 +147,14 @@ pub fn drop_breakdown(by_reason: &BTreeMap<&'static str, u64>) -> String {
     format!("{total} ({})", parts.join(", "))
 }
 
-/// Replays a trace through both aggregators.
-fn aggregate(trace: &Trace) -> (InMemoryRecorder, Telemetry) {
-    let mut memory = InMemoryRecorder::new();
-    let mut telemetry = Telemetry::new();
+/// Folds a trace once: the exact counters and histograms of the
+/// `--metrics` report, the per-link accumulators and the makespan.
+fn aggregate(trace: &Trace) -> Telemetry<ExactHistogram> {
+    let mut telemetry = Telemetry::default();
     for event in &trace.events {
-        memory.record(event);
         telemetry.record(event);
     }
-    (memory, telemetry)
+    telemetry
 }
 
 /// Reconstructs the live report from a trace: the same headline lines
@@ -163,7 +162,8 @@ fn aggregate(trace: &Trace) -> (InMemoryRecorder, Telemetry) {
 /// followed by the full `--metrics` block, byte-identical to the live
 /// run the trace came from.
 pub fn summary(trace: &Trace) -> String {
-    let (memory, telemetry) = aggregate(trace);
+    let telemetry = aggregate(trace);
+    let memory = &telemetry.fold;
     let mut out = String::new();
     writeln!(
         out,
@@ -209,7 +209,7 @@ pub fn summary(trace: &Trace) -> String {
 /// Ranks the `top` hottest links (by forwards) with utilization over
 /// the run's makespan, mean queue wait and queue-depth high-water.
 pub fn links(trace: &Trace, top: usize) -> String {
-    let (_, telemetry) = aggregate(trace);
+    let telemetry = aggregate(trace);
     let horizon = telemetry.last_time;
     let ranked = telemetry.hottest_links();
     let mut out = String::new();
@@ -297,7 +297,7 @@ impl TraceMetric {
             .1
     }
 
-    fn select(self, memory: &InMemoryRecorder) -> &debruijn_net::Histogram {
+    fn select(self, memory: &debruijn_net::InMemoryRecorder) -> &ExactHistogram {
         match self {
             Self::Hops => &memory.hops,
             Self::Latency => &memory.latency,
@@ -312,8 +312,8 @@ impl TraceMetric {
 /// Renders one metric of a trace as an ASCII histogram with a
 /// quantile headline.
 pub fn hist(trace: &Trace, metric: TraceMetric) -> String {
-    let (memory, _) = aggregate(trace);
-    let h = metric.select(&memory);
+    let telemetry = aggregate(trace);
+    let h = metric.select(&telemetry.fold);
     let mut out = String::new();
     writeln!(
         out,
@@ -348,8 +348,8 @@ fn int_delta(a: u64, b: u64) -> String {
 /// Compares two traces metric by metric (`A` is the baseline; deltas
 /// are `B − A`).
 pub fn diff(a: &Trace, b: &Trace) -> String {
-    let (ma, ta) = aggregate(a);
-    let (mb, tb) = aggregate(b);
+    let (ta, tb) = (aggregate(a), aggregate(b));
+    let (ma, mb) = (&ta.fold, &tb.fold);
     let mut table = Table::new(vec![
         "metric".into(),
         "A".into(),
