@@ -79,14 +79,19 @@ if [ -z "$scrape_ok" ]; then
     cat "$smoke_dir/scrape.txt"
     exit 1
 fi
-for family in "dbr_sim_injected_total 2000" "dbr_link_forward_total{" \
-    "dbr_core_route_cache_total{" "dbr_core_engine_solves_total{"; do
+for family in "dbr_sim_injected_total 2000" "dbr_link_forward_total{"; do
     if ! grep -qF "$family" "$smoke_dir/scrape.txt"; then
         echo "scrape smoke: /metrics lacks '$family'"
         cat "$smoke_dir/scrape.txt"
         exit 1
     fi
 done
+# The run's registry carries its own families only: no process-wide
+# counters ride along.
+if grep -q '^dbr_core_' "$smoke_dir/scrape.txt"; then
+    echo "scrape smoke: /metrics carries process-wide dbr_core_ counters"
+    exit 1
+fi
 curl -fsS "http://$addr/healthz" | grep -q ok
 kill "$listen_pid" 2>/dev/null || true
 wait "$listen_pid" 2>/dev/null || true
@@ -257,7 +262,8 @@ code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/frobnicate")
 # The scrape carries the service families with real counts.
 curl -fsS "http://$addr/metrics" > "$smoke_dir/serve_scrape.txt"
 for family in "dbr_service_requests_total{" "dbr_service_errors_total{" \
-    "dbr_service_cache_total{" "dbr_service_latency_ns_count{"; do
+    "dbr_service_cache_total{" "dbr_service_latency_ns_count{" \
+    "dbr_service_solves_total{"; do
     if ! grep -qF "$family" "$smoke_dir/serve_scrape.txt"; then
         echo "serve smoke: /metrics lacks '$family'"
         cat "$smoke_dir/serve_scrape.txt"
@@ -267,6 +273,13 @@ done
 if ! grep -E '^dbr_service_requests_total\{[^}]*\} [1-9]' \
     "$smoke_dir/serve_scrape.txt" > /dev/null; then
     echo "serve smoke: dbr_service_requests_total never counted a request"
+    exit 1
+fi
+# k = 8 is below the Auto crossover: the clients' first miss ran a
+# bit-parallel solve.
+if ! grep -E '^dbr_service_solves_total\{engine="bit-parallel"\} [1-9]' \
+    "$smoke_dir/serve_scrape.txt" > /dev/null; then
+    echo "serve smoke: dbr_service_solves_total never counted a bit-parallel solve"
     exit 1
 fi
 curl -fsS "http://$addr/quitquitquit" | grep -q "shutting down"

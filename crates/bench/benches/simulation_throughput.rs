@@ -13,9 +13,7 @@
 
 use debruijn_bench::{json_mode, median_nanos_per_call, JsonReport};
 use debruijn_core::DeBruijn;
-use debruijn_net::metrics::{
-    register_core_profile, MetricsRegistry, RegistryRecorder, ScrapeServer,
-};
+use debruijn_net::metrics::{MetricsRegistry, RegistryRecorder, ScrapeServer};
 use debruijn_net::{workload, RouterKind, ShardedSimulation, SimConfig, WildcardPolicy};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -108,7 +106,6 @@ fn main() {
     .unwrap();
 
     let registry = Arc::new(MetricsRegistry::new());
-    register_core_profile(&registry);
     let server = ScrapeServer::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
     let addr = server.local_addr();
 

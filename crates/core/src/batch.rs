@@ -37,9 +37,7 @@
 //! path reuses the exact engine sweep (with only the destination packing
 //! hoisted) and falls back to the scalar engine for configurations whose
 //! sweep it cannot replay (explicit non-bit-parallel engines, `Auto`
-//! above the crossover). The batched *distance* tiers do not tick the
-//! engine profiler counters (they bypass `solve`); batched undirected
-//! *routes* tick them exactly like the scalar path.
+//! above the crossover).
 
 use crate::distance::assert_same_space;
 use crate::distance::undirected::{self, Engine, FamilyMinimum, Solution};
@@ -435,12 +433,6 @@ fn route_group(
         if x == y {
             continue;
         }
-        // Mirror solve()'s engine accounting so the profiler sees batched
-        // route queries exactly like scalar ones.
-        if engine == Engine::Auto {
-            crate::profile::count_auto_to_bit_parallel();
-        }
-        crate::profile::count_engine_bit_parallel();
         let (l_min, r_min_reversed) = scratch.ctx.both_family_minima(x.digits());
         // Identical Solution assembly to undirected::solve.
         let left_family = FamilyMinimum {

@@ -163,22 +163,7 @@ impl Solution {
 pub fn solve(x: &Word, y: &Word, engine: Engine) -> Solution {
     assert_same_space(x, y);
     let k = x.len();
-    let resolved = engine.resolve(x.radix(), k);
-    if engine == Engine::Auto {
-        match resolved {
-            Engine::BitParallel => crate::profile::count_auto_to_bit_parallel(),
-            Engine::SuffixTree => crate::profile::count_auto_to_suffix_tree(),
-            _ => unreachable!("Auto resolves to a measured engine"),
-        }
-    }
-    let engine = resolved;
-    match engine {
-        Engine::Naive => crate::profile::count_engine_naive(),
-        Engine::MorrisPratt => crate::profile::count_engine_morris_pratt(),
-        Engine::SuffixTree => crate::profile::count_engine_suffix_tree(),
-        Engine::BitParallel => crate::profile::count_engine_bit_parallel(),
-        Engine::Auto => unreachable!("resolved above"),
-    }
+    let engine = engine.resolve(x.radix(), k);
     let (l_min, r_min_reversed) = match engine {
         Engine::Naive => (naive_min(x, y), naive_min(&x.reversed(), &y.reversed())),
         Engine::MorrisPratt => MP_SCRATCH.with(|s| {

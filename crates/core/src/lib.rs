@@ -41,7 +41,6 @@ pub mod batch;
 pub mod distance;
 pub mod error;
 pub mod packed;
-pub mod profile;
 pub mod rng;
 pub mod routing;
 pub mod space;

@@ -8,8 +8,7 @@
 //!    handles ([`Counter`], [`Gauge`], [`Histogram`]) keyed by metric
 //!    name and label set, and accepts [collector
 //!    closures](MetricsRegistry::register_collector) for values owned
-//!    elsewhere (e.g. the process-wide `debruijn-core` profile
-//!    counters, wired by [`register_core_profile`]).
+//!    elsewhere (e.g. the query service's per-shard queue depths).
 //!    [`RegistryRecorder`] is a [`Recorder`](crate::Recorder) that
 //!    folds the simulator's event stream into a registry, and
 //!    [`replay_sharded`] folds a recorded trace in parallel with a
@@ -59,5 +58,5 @@ pub use http::{
     read_request, HeadTooLarge, HttpRequest, HttpResponse, ScrapeServer, MAX_HEAD_LINE,
     PROMETHEUS_CONTENT_TYPE,
 };
-pub use recorder::{register_core_profile, replay_sharded, RegistryRecorder};
+pub use recorder::{replay_sharded, RegistryRecorder};
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry};

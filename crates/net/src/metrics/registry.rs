@@ -284,7 +284,7 @@ impl MetricsRegistry {
 
     /// Registers a collector: a hook run on every
     /// [`MetricsRegistry::snapshot`] that contributes computed series
-    /// (see [`register_core_profile`](super::register_core_profile)).
+    /// (the query service's queue-depth gauges are one).
     /// Collectors must not call back into this registry's collector
     /// registration.
     pub fn register_collector(

@@ -27,6 +27,7 @@ use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
+use debruijn_core::distance::undirected::Engine;
 use debruijn_core::routing::{
     destination_shard, RouteCache, RouteCacheStats, RoutePath, RoutingScratch,
 };
@@ -117,6 +118,9 @@ pub struct Dispatcher {
     closed: AtomicBool,
     shed_total: Counter,
     latency: [Histogram; 2],
+    /// Theorem-2 solves by the engine `Engine::Auto` picked, in
+    /// [`SOLVE_ENGINES`] order.
+    solves: [Counter; 2],
     flight: Mutex<Option<FlightRecorder>>,
     flight_armed: AtomicBool,
     seq: AtomicU64,
@@ -164,7 +168,7 @@ impl Shard {
 
 impl Dispatcher {
     /// Builds the dispatcher and registers its queue-depth gauges, cache
-    /// counters and latency histograms on `registry`. `config.workers`
+    /// and solve counters and latency histograms on `registry`. `config.workers`
     /// is resolved via [`effective_threads`] (0 → one per core).
     pub fn new(config: ServiceConfig, registry: Arc<MetricsRegistry>) -> Self {
         let workers = effective_threads(config.workers);
@@ -215,12 +219,20 @@ impl Dispatcher {
                 &[("endpoint", kind.label())],
             )
         });
+        let solves = SOLVE_ENGINES.map(|engine| {
+            registry.counter_with(
+                "dbr_service_solves_total",
+                "Theorem-2 solves, by the engine Engine::Auto picked.",
+                &[("engine", engine)],
+            )
+        });
         Self {
             config,
             shards,
             closed: AtomicBool::new(false),
             shed_total,
             latency,
+            solves,
             flight: Mutex::new(None),
             flight_armed: AtomicBool::new(false),
             seq: AtomicU64::new(0),
@@ -367,6 +379,13 @@ impl Dispatcher {
         }
     }
 
+    /// Counts one undirected solve of a pair in `x`'s `DG(d,k)`; Algorithm
+    /// 1's directed answers are not Theorem-2 solves and are not counted.
+    fn count_solve(&self, x: &Word) {
+        let past_crossover = Engine::Auto.resolve(x.radix(), x.len()) == Engine::SuffixTree;
+        self.solves[usize::from(past_crossover)].inc();
+    }
+
     fn flight_recorder(&self) -> MutexGuard<'_, Option<FlightRecorder>> {
         self.flight
             .lock()
@@ -403,8 +422,8 @@ impl Admission<'_> {
     }
 
     /// Answers the query on the calling thread, publishes the
-    /// cache-stat delta and the admission-to-answer latency, and
-    /// releases the admission.
+    /// cache-stat delta, the solve it ran (if any) and the
+    /// admission-to-answer latency, and releases the admission.
     ///
     /// The shard's lock is held only for the cache steps: a lookup,
     /// and on a miss, once the route is solved outside the lock, the
@@ -440,6 +459,9 @@ impl Admission<'_> {
                 if !hit {
                     solve_query_into(query, &mut buffers.scratch, &mut buffers.route);
                     if !query.directed {
+                        if query.x != query.y {
+                            self.dispatcher.count_solve(&query.x);
+                        }
                         shard.with_cache(|cache| {
                             cache.get_or_insert(&query.x, &query.y, &buffers.route)
                         });
@@ -484,6 +506,10 @@ struct CacheCounters {
 }
 
 const OUTCOMES: [&str; 3] = ["hit", "miss", "eviction"];
+
+/// `dbr_service_solves_total`'s engine labels: the engines
+/// [`Engine::Auto`] resolves to below and past its crossover.
+const SOLVE_ENGINES: [&str; 2] = ["bit-parallel", "suffix-tree"];
 
 impl CacheCounters {
     fn new(registry: &MetricsRegistry, shard_label: &str) -> Self {
@@ -660,6 +686,89 @@ mod tests {
             |outcome| snap.counter_value("dbr_service_cache_total", &[("outcome", outcome)]);
         assert_eq!(count("miss"), Some(2));
         assert_eq!(count("hit"), Some(0));
+    }
+
+    #[test]
+    fn concurrent_dispatchers_count_exactly_their_own_work() {
+        use debruijn_core::rng::SplitMix64;
+        use debruijn_core::DeBruijn;
+        use std::sync::Barrier;
+
+        // Two dispatchers answer at once on two threads, each into its
+        // own registry: every count is that dispatcher's work, exactly.
+        let words: Vec<Word> = DeBruijn::new(2, 6).unwrap().vertices().collect();
+        let start = Barrier::new(2);
+        std::thread::scope(|scope| {
+            for (seed, queries) in [(1, 200), (2, 500)] {
+                let (words, start) = (&words, &start);
+                scope.spawn(move || {
+                    let registry = Arc::new(MetricsRegistry::new());
+                    let dispatcher = Dispatcher::new(
+                        ServiceConfig {
+                            cache_capacity: 16,
+                            ..config(2, 16)
+                        },
+                        Arc::clone(&registry),
+                    );
+                    let mut replay: Vec<RouteCache> = (0..2).map(|_| RouteCache::new(8)).collect();
+                    let (mut scratch, mut path_buf) = (RoutingScratch::new(), RoutePath::empty());
+                    let mut rng = SplitMix64::new(seed);
+                    let mut solves = 0;
+                    start.wait();
+                    for _ in 0..queries {
+                        let q = Query {
+                            kind: QueryKind::Distance,
+                            x: words[rng.below_usize(12)].clone(),
+                            y: words[rng.below_usize(12)].clone(),
+                            directed: rng.below_usize(5) == 0,
+                        };
+                        let cache = &mut replay[dispatcher.shard_of(&q.y)];
+                        if !q.directed && q.x != q.y && !cache.peek(&q.x, &q.y) {
+                            solves += 1;
+                        }
+                        let want = answer_query_cached(&q, cache, &mut scratch, &mut path_buf);
+                        assert_eq!(dispatcher.admit(q).unwrap().answer().unwrap(), want);
+                    }
+                    let mut total = RouteCacheStats::default();
+                    for cache in &replay {
+                        total.merge(&cache.stats());
+                    }
+                    assert!(solves > 0 && total.hits > 0);
+                    let snap = registry.snapshot();
+                    let solved = |engine| {
+                        snap.counter_value("dbr_service_solves_total", &[("engine", engine)])
+                    };
+                    assert_eq!(solved("bit-parallel"), Some(solves));
+                    assert_eq!(solved("suffix-tree"), Some(0));
+                    let looked_up = |outcome| {
+                        snap.counter_value("dbr_service_cache_total", &[("outcome", outcome)])
+                    };
+                    assert_eq!(looked_up("hit"), Some(total.hits));
+                    assert_eq!(looked_up("miss"), Some(total.misses));
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn a_pair_past_the_auto_crossover_counts_as_a_suffix_tree_solve() {
+        use debruijn_core::distance::undirected::auto_bitparallel_max_k;
+
+        let k = auto_bitparallel_max_k(16) + 1;
+        assert_eq!(k, 2049);
+        let registry = Arc::new(MetricsRegistry::new());
+        let dispatcher = Dispatcher::new(ServiceConfig::new(16), Arc::clone(&registry));
+        let q = Query {
+            kind: QueryKind::Distance,
+            x: Word::uniform(16, k, 0).unwrap(),
+            y: Word::uniform(16, k, 1).unwrap(),
+            directed: false,
+        };
+        assert_eq!(dispatcher.admit(q).unwrap().answer().unwrap(), "2049\n");
+        let snap = registry.snapshot();
+        let solved = |engine| snap.counter_value("dbr_service_solves_total", &[("engine", engine)]);
+        assert_eq!(solved("suffix-tree"), Some(1));
+        assert_eq!(solved("bit-parallel"), Some(0));
     }
 
     #[test]

@@ -7,10 +7,8 @@
 //! one watches a run the way an operator would — over HTTP, while it
 //! executes, with an anomaly trigger standing by:
 //!
-//! 1. a `MetricsRegistry` collects everything in one place: the
-//!    simulator's own counters/histograms (via `RegistryRecorder`) and
-//!    the process-wide `core::profile` counters (via
-//!    `register_core_profile`);
+//! 1. a `MetricsRegistry` collects the simulator's counters and
+//!    histograms in one place (via `RegistryRecorder`);
 //! 2. a `ScrapeServer` exposes the registry at `/metrics` in the
 //!    Prometheus text format over plain `std::net::TcpListener` — no
 //!    HTTP dependency, `curl`-able while the simulator runs;
@@ -27,8 +25,7 @@ use std::sync::Arc;
 
 use debruijn_suite::core::{DeBruijn, Word};
 use debruijn_suite::net::metrics::{
-    register_core_profile, AnomalyTriggers, FlightRecorder, MetricsRegistry, RegistryRecorder,
-    ScrapeServer,
+    AnomalyTriggers, FlightRecorder, MetricsRegistry, RegistryRecorder, ScrapeServer,
 };
 use debruijn_suite::net::record::FanoutRecorder;
 use debruijn_suite::net::{workload, RouterKind, ShardedSimulation, SimConfig};
@@ -47,10 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The registry is shared: the recorder writes into it from the
     // simulation thread, the scrape server reads it from its accept
-    // thread, and the core-profile collector folds in the process-wide
-    // engine/cache counters at snapshot time.
+    // thread.
     let registry = Arc::new(MetricsRegistry::new());
-    register_core_profile(&registry);
     let mut recorder = RegistryRecorder::new(&registry);
 
     let server = ScrapeServer::bind("127.0.0.1:0", Arc::clone(&registry))?;
@@ -81,10 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scrape = ScrapeServer::get(server.local_addr(), "/metrics")?;
     println!("\nscrape excerpt:");
     for line in scrape.lines().filter(|l| {
-        l.starts_with("dbr_sim_injected_total")
-            || l.starts_with("dbr_sim_dropped_total")
-            || l.starts_with("dbr_core_route_cache_total")
-            || l.starts_with("dbr_core_engine_solves_total")
+        l.starts_with("dbr_sim_injected_total") || l.starts_with("dbr_sim_dropped_total")
     }) {
         println!("  {line}");
     }

@@ -5,19 +5,16 @@
 //! The paper proves routes are optimal (`|route| = D(X,Y)`, Theorems 1–2)
 //! and remarks that wildcard `*` steps let the network balance traffic
 //! (§3). Aggregate statistics can't show either property per message;
-//! this example attaches the three recorder sinks from
-//! `debruijn_net::record` to one simulation and reads the claims off the
-//! event stream:
+//! this example attaches two recorder sinks from `debruijn_net::record`
+//! to one simulation and reads the claims off the event stream:
 //!
 //! 1. an `InMemoryRecorder` turns events into exact histograms and
 //!    counters — the stretch histogram pins every delivery to its
 //!    shortest distance;
 //! 2. a `JsonlRecorder` streams the same events as line-delimited JSON
-//!    (here into a buffer; point it at a file for real runs);
-//! 3. the process-global `core::profile` counters show which distance
-//!    engine did the underlying label computations.
+//!    (here into a buffer; point it at a file for real runs).
 
-use debruijn_suite::core::{distance, profile, DeBruijn};
+use debruijn_suite::core::{distance, DeBruijn};
 use debruijn_suite::net::record::{parse_event, FanoutRecorder, JsonlRecorder};
 use debruijn_suite::net::{
     workload, InMemoryRecorder, NetEvent, RouterKind, ShardedSimulation, SimConfig, WildcardPolicy,
@@ -36,9 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sim = ShardedSimulation::new(space, config, 1)?;
     let traffic = workload::uniform_random(space, 2_000, 42);
 
-    // One run, three consumers: histograms, a JSONL stream, and the
-    // core profiling counters ticking underneath.
-    let profile_before = profile::snapshot();
+    // One run, two consumers: histograms and a JSONL stream.
     let mut metrics = InMemoryRecorder::new();
     let mut jsonl = JsonlRecorder::new(Vec::new());
     let report = {
@@ -47,7 +42,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fan.push(&mut jsonl);
         sim.run_recorded(&traffic, &mut fan)
     };
-    let profile_used = profile::snapshot().since(&profile_before);
 
     println!(
         "DN(2,8), {} messages, router alg4, policy least-loaded\n",
@@ -117,17 +111,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(forwards, report.total_hops, "one forward event per hop");
     let first = text.lines().next().expect("stream is non-empty");
     println!("first event: {first}\n");
-
-    // 5. The algorithmic layer underneath: each injection computed one
-    //    undirected distance (k = 8 resolves Auto to the bit-parallel
-    //    engine), and Algorithm 4 built suffix trees for the routes.
-    println!(
-        "distance engine solves: {} morris-pratt, {} suffix-tree, {} bit-parallel ({} via Auto)",
-        profile_used.engine_morris_pratt,
-        profile_used.engine_suffix_tree,
-        profile_used.engine_bit_parallel,
-        profile_used.auto_to_bit_parallel + profile_used.auto_to_suffix_tree
-    );
 
     // Sanity: the recorded per-message shortest distances really are the
     // distance function (spot-check the first few injections).

@@ -157,12 +157,12 @@ docs/OBSERVABILITY.md \"Profiling the engine\".
 
 --metrics prints exact histograms (hops, stretch over D(X,Y), per-hop
 latency, queue wait/depth, end-to-end latency) and counters (wildcard
-resolutions per policy and digit, drops by reason, distance-engine
-and convergecast profile); --trace FILE streams every event as JSON lines
-that every `dbr trace` command can analyse offline (they infer the
-radix from the file; pass --radix D to override); --progress N prints
-an in-flight snapshot to stderr every N ticks; --chrome-trace FILE
-writes a timeline for https://ui.perfetto.dev.
+resolutions per policy and digit, drops by reason); --trace FILE
+streams every event as JSON lines that every `dbr trace` command can
+analyse offline (they infer the radix from the file; pass --radix D to
+override); --progress N prints an in-flight snapshot to stderr every N
+ticks; --chrome-trace FILE writes a timeline for
+https://ui.perfetto.dev.
 
 --listen ADDR serves Prometheus text at http://ADDR/metrics (plus
 /healthz) while the run executes and until the process is killed; the

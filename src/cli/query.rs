@@ -8,9 +8,7 @@ use std::sync::Arc;
 
 use debruijn_core::distance::undirected::Engine;
 use debruijn_core::{distance, routing, Word};
-use debruijn_net::metrics::{
-    register_core_profile, AnomalyTriggers, FlightRecorder, MetricsRegistry,
-};
+use debruijn_net::metrics::{AnomalyTriggers, FlightRecorder, MetricsRegistry};
 use debruijn_net::service::{Dispatcher, QueryService, ServiceConfig};
 
 use super::args::Args;
@@ -257,7 +255,6 @@ impl Serve {
             ..
         } = self;
         let registry = Arc::new(MetricsRegistry::new());
-        register_core_profile(&registry);
         let config = ServiceConfig {
             workers: self.threads,
             cache_capacity,

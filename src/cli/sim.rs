@@ -6,10 +6,9 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
 use std::sync::Arc;
 
-use debruijn_core::{profile, DeBruijn, Word};
+use debruijn_core::{DeBruijn, Word};
 use debruijn_net::metrics::{
-    register_core_profile, AnomalyTriggers, FlightRecorder, MetricsRegistry, RegistryRecorder,
-    ScrapeServer,
+    AnomalyTriggers, FlightRecorder, MetricsRegistry, RegistryRecorder, ScrapeServer,
 };
 use debruijn_net::record::{FanoutRecorder, InMemoryRecorder, JsonlRecorder};
 use debruijn_net::telemetry::{ChromeTraceRecorder, SnapshotRecorder};
@@ -243,13 +242,9 @@ impl Simulate {
 
         // One registry backs both exposure paths: the HTTP scrape
         // server (--listen) and the periodic file snapshot
-        // (--metrics-out). The core profile counters join it as a
-        // collector, so scrapes see engine/cache activity too.
-        let registry = (self.listen.is_some() || self.metrics_out.is_some()).then(|| {
-            let registry = Arc::new(MetricsRegistry::new());
-            register_core_profile(&registry);
-            registry
-        });
+        // (--metrics-out).
+        let registry = (self.listen.is_some() || self.metrics_out.is_some())
+            .then(|| Arc::new(MetricsRegistry::new()));
         let mut registry_recorder = registry.as_ref().map(RegistryRecorder::new);
         let server = match (&self.listen, &registry) {
             (Some(addr), Some(registry)) => Some(
@@ -282,7 +277,6 @@ impl Simulate {
             .map(|placement| build_monitors(space, directed, placement))
             .transpose()?;
 
-        let profile_before = profile::snapshot();
         let mut memory = self.metrics.then(InMemoryRecorder::new);
         let mut jsonl = open_trace(self.trace.as_deref())?;
         let mut chrome = self
@@ -310,39 +304,11 @@ impl Simulate {
         if let Some(s) = snapshots {
             s.finish().map_err(|e| format!("writing snapshots: {e}"))?;
         }
-        let profile_used = profile::snapshot().since(&profile_before);
 
         let mut out = String::new();
         write_report(&mut out, &report);
         if let Some(memory) = &memory {
             write!(out, "\n== metrics ==\n{memory}").expect("write");
-            writeln!(out, "\n== core profile (this run) ==").expect("write");
-            writeln!(
-                out,
-                "distance engine solves: {} naive, {} morris-pratt, {} suffix-tree, {} bit-parallel",
-                profile_used.engine_naive,
-                profile_used.engine_morris_pratt,
-                profile_used.engine_suffix_tree,
-                profile_used.engine_bit_parallel
-            )
-            .expect("write");
-            writeln!(
-                out,
-                "auto engine selection:  {} -> suffix-tree, {} -> bit-parallel",
-                profile_used.auto_to_suffix_tree, profile_used.auto_to_bit_parallel
-            )
-            .expect("write");
-            match profile_used.convergecast_hit_rate() {
-                Some(rate) => writeln!(
-                    out,
-                    "convergecast cache:     {} builds, {} routes ({:.1}% hit rate)",
-                    profile_used.convergecast_builds,
-                    profile_used.convergecast_routes,
-                    rate * 100.0
-                )
-                .expect("write"),
-                None => writeln!(out, "convergecast cache:     unused").expect("write"),
-            }
         }
         if let (Some(j), Some(path)) = (jsonl, &self.trace) {
             finish_file(&mut out, j.finish(), "trace", path)?;

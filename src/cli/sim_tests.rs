@@ -203,8 +203,6 @@ fn simulate_metrics_flag_prints_histograms_and_counters() {
     assert!(out.contains("queue depth"), "{out}");
     assert!(out.contains("wildcard resolutions:"), "{out}");
     assert!(out.contains("by policy least-loaded:"), "{out}");
-    assert!(out.contains("== core profile (this run) =="), "{out}");
-    assert!(out.contains("distance engine solves:"), "{out}");
     // Optimal routing on a fault-free network: zero stretch.
     assert!(
         out.contains("stretch over shortest D(X,Y) (mean 0.0000)"),
@@ -224,10 +222,7 @@ fn simulate_metrics_out_writes_prometheus_text() {
     assert!(text.contains("dbr_sim_injected_total 120"), "{text}");
     assert!(text.contains("dbr_sim_delivered_total 120"), "{text}");
     assert!(text.contains("dbr_link_forward_total{"), "{text}");
-    // The core profile collector is registered alongside the
-    // simulator's own counters.
-    assert!(text.contains("dbr_core_engine_solves_total{"), "{text}");
-    assert!(text.contains("dbr_core_route_cache_total{"), "{text}");
+    assert!(!text.contains("dbr_core_"), "{text}");
 }
 
 #[test]

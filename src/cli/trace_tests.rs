@@ -67,7 +67,7 @@ fn trace_summary_reproduces_live_metrics() {
     // The whole metrics block matches byte for byte.
     let live_metrics = live.split("== metrics ==").nth(1).unwrap();
     let offline_metrics = offline.split("== metrics ==").nth(1).unwrap();
-    let live_block = live_metrics.split("== core profile").next().unwrap();
+    let live_block = live_metrics.split("trace written to").next().unwrap();
     assert_eq!(live_block.trim_end(), offline_metrics.trim_end());
     // And so do the headline report lines.
     for needle in [
@@ -95,14 +95,10 @@ fn trace_prom_command_matches_live_metrics_out() {
     let live_text = std::fs::read_to_string(&live).unwrap();
     std::fs::remove_file(&jsonl).ok();
     std::fs::remove_file(&live).ok();
-    // The offline fold reproduces every simulator family the live
-    // file has (the live file additionally carries the process-wide
-    // core-profile collector families).
-    for line in live_text.lines().filter(|l| l.starts_with("dbr_sim_")) {
-        assert!(offline.contains(line), "missing live line: {line}");
-    }
+    // The live file holds the run's own families and nothing else, so
+    // the offline fold reproduces it byte for byte.
+    assert_eq!(offline, live_text);
     assert!(offline.contains("dbr_sim_injected_total 60"), "{offline}");
-    assert!(!offline.contains("dbr_core_"), "{offline}");
 }
 
 #[test]

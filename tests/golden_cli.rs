@@ -7,11 +7,9 @@
 //! two calls `src/bin/dbr.rs` makes. Temporary paths print as `$TMP` and
 //! the golden directory as `$GOLDEN`.
 //!
-//! Two pipes pin only a prefix of a run's output:
-//! `| sed '/^== core profile/q'` stops at the core-profile counters,
-//! which are process-wide and so count other tests' work too, and
-//! `| head -n 7` keeps the seven headline lines of `dbr profile`, after
-//! which wall-clock phase times follow.
+//! One pipe pins only a prefix of a run's output: `| head -n 7` keeps
+//! the seven headline lines of `dbr profile`, after which wall-clock
+//! phase times follow.
 //!
 //! After a deliberate output change, rerun with `DBR_BLESS=1` to rewrite
 //! the files, and review the diff.
@@ -21,7 +19,6 @@ use std::process::Command;
 
 use debruijn_suite::cli;
 
-const CORE_PROFILE_CUT: &str = " | sed '/^== core profile/q'";
 const HEAD_7_CUT: &str = " | head -n 7";
 
 fn golden_dir() -> PathBuf {
@@ -41,13 +38,6 @@ fn block(tmp: &str, golden: &str, case: &str) -> String {
     let body = match cli::parse(&args).and_then(|cmd| cli::run(&cmd)) {
         Ok(out) => match cut {
             "" => out,
-            CORE_PROFILE_CUT => {
-                let end = out
-                    .find("== core profile")
-                    .and_then(|at| out[at..].find('\n').map(|nl| at + nl + 1))
-                    .unwrap_or(out.len());
-                out[..end].to_string()
-            }
             HEAD_7_CUT => out.split_inclusive('\n').take(7).collect(),
             other => panic!("unknown pipe '{other}'"),
         },
@@ -171,9 +161,9 @@ fn simulate_and_profile_match_the_golden_transcript() {
             "simulate 2 6 --messages 400 --seed 3 --workload burst --shards 2 --next-hop compressed",
             "simulate 2 6 --messages 400 --seed 3 --faults 010101 --monitors identifying",
             "simulate 2 6 --messages 400 --seed 3 --shards 2 --faults 000111 --monitors all",
-            "simulate 2 6 --messages 400 --seed 3 --metrics | sed '/^== core profile/q'",
-            "simulate 2 6 --messages 400 --seed 3 --shards 2 --router alg4 --metrics | sed '/^== core profile/q'",
-            "simulate 2 6 --messages 400 --seed 3 --shards 2 --policy least-loaded --metrics | sed '/^== core profile/q'",
+            "simulate 2 6 --messages 400 --seed 3 --metrics",
+            "simulate 2 6 --messages 400 --seed 3 --shards 2 --router alg4 --metrics",
+            "simulate 2 6 --messages 400 --seed 3 --shards 2 --policy least-loaded --metrics",
             "profile 2 6 --messages 400 --seed 3 | head -n 7",
             "profile 2 6 --messages 400 --seed 3 --shards 2 --threads 2 --faults 010101 | head -n 7",
             "profile 2 6 --messages 400 --seed 3 --router trivial | head -n 7",
