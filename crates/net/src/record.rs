@@ -66,6 +66,13 @@ impl DropReason {
         }
     }
 
+    /// Whether the message was in flight when it was lost. A faulty
+    /// source or a missing route drops it at injection, before its
+    /// [`NetEvent::Inject`], so no in-flight count ever included it.
+    pub fn was_in_flight(&self) -> bool {
+        !matches!(self, DropReason::FaultySource | DropReason::NoRoute)
+    }
+
     fn parse(s: &str) -> Option<Self> {
         Some(match s {
             "faulty-source" => DropReason::FaultySource,
@@ -493,11 +500,18 @@ impl<H: Distribution> EventFold<H> {
         self.drops_by_reason.values().sum()
     }
 
-    /// Messages injected but not yet delivered or dropped.
+    /// Messages injected but not yet delivered or dropped (see
+    /// [`DropReason::was_in_flight`]).
     pub fn in_flight(&self) -> u64 {
+        let lost: u64 = self
+            .drops_by_reason
+            .iter()
+            .filter(|(name, _)| DropReason::parse(name).is_some_and(|r| r.was_in_flight()))
+            .map(|(_, n)| n)
+            .sum();
         self.injected
             .saturating_sub(self.delivered)
-            .saturating_sub(self.dropped())
+            .saturating_sub(lost)
     }
 
     /// Total wildcard resolutions.
