@@ -25,7 +25,7 @@ use std::io;
 use debruijn_analysis::Table;
 use debruijn_net::record::parse_event;
 use debruijn_net::telemetry::ChromeTraceRecorder;
-use debruijn_net::{ExactHistogram, LogHistogram, NetEvent, Recorder, Telemetry};
+use debruijn_net::{ExactHistogram, NetEvent, Recorder, Telemetry};
 
 /// A parsed trace file: the radix used to decode addresses plus the
 /// event stream in file order.
@@ -157,10 +157,13 @@ fn aggregate(trace: &Trace) -> Telemetry<ExactHistogram> {
     telemetry
 }
 
-/// Reconstructs the live report from a trace: the same headline lines
+/// Reconstructs the live report from a trace: the headline lines
 /// `dbr simulate` prints (delivered, mean hops/latency, makespan)
 /// followed by the full `--metrics` block, byte-identical to the live
-/// run the trace came from.
+/// run's block. On a run with faults the `delivered: N/M` denominator
+/// counts Inject events, so it leaves out the messages a faulty source
+/// or a missing route dropped at injection, which the live report
+/// counts.
 pub fn summary(trace: &Trace) -> String {
     let telemetry = aggregate(trace);
     let memory = &telemetry.fold;
@@ -184,19 +187,6 @@ pub fn summary(trace: &Trace) -> String {
         drop_breakdown(&memory.drops_by_reason)
     )
     .expect("write to string");
-    // Per-hop delivery latency (arrival tick − send tick of each
-    // forward), folded through the O(1)-memory log histogram so the
-    // line stays cheap on arbitrarily long traces.
-    let mut per_hop = LogHistogram::new();
-    for event in &trace.events {
-        if let NetEvent::Forward {
-            departs, arrives, ..
-        } = event
-        {
-            per_hop.record(arrives.saturating_sub(*departs));
-        }
-    }
-    writeln!(out, "per-hop:      {}", per_hop.summary()).expect("write to string");
     writeln!(out, "mean hops:    {:.4}", memory.hops.mean()).expect("write to string");
     writeln!(out, "mean latency: {:.4}", memory.latency.mean()).expect("write to string");
     writeln!(out, "max latency:  {}", memory.latency.max().unwrap_or(0)).expect("write to string");
@@ -570,11 +560,6 @@ mod tests {
         assert!(out.contains("events:       5 (radix 2)"), "{out}");
         assert!(out.contains("delivered:    1/2"), "{out}");
         assert!(out.contains("dropped:      1 (no-route 1)"), "{out}");
-        // One forward departing at 1, arriving at 3: a 2-tick hop.
-        assert!(
-            out.contains("per-hop:      mean 2.0000, p50 2, p90 2, p99 2, max 2"),
-            "{out}"
-        );
         assert!(out.contains("mean hops:    1.0000"), "{out}");
         assert!(out.contains("max latency:  3"), "{out}");
         assert!(out.contains("makespan:     4"), "{out}");
