@@ -22,9 +22,11 @@
 //!   undirected distance *values*, one packed sweep for undirected
 //!   *routes* (byte-identical minimizers to the scalar bit-parallel
 //!   engine, see [`DestinationContext::both_family_minima`]). Undirected
-//!   distance groups of fewer than 8 sources (4 once a diagonal spans more
-//!   than one `u64`) use that packed sweep too, since the automaton build
-//!   would not amortize;
+//!   distance groups below `sweep_group_floor(d, k)` use that packed
+//!   sweep too, since the automaton's `O(k·d)` build would not amortize
+//!   over them: fewer than 24 sources at radix 2 and `4·d` beyond while
+//!   a diagonal fits one `u64`, fewer than `(d + 7) / 2` (4 at radix 2)
+//!   once it spans more;
 //! * **distance column** — when the whole vertex set is enumerable
 //!   ([`RankSpace`], at most [`COLUMN_MAX_NODES`] vertices) and the group
 //!   is large enough that one reverse BFS from the destination
@@ -55,22 +57,37 @@ pub const COLUMN_MAX_NODES: u64 = 1 << 20;
 /// suffix-automaton scan. Smaller groups are answered with the packed
 /// Theorem-2 sweep ([`DestinationContext::both_family_minima`]), since the
 /// automaton's two per-destination builds only pay off over larger groups.
-/// A diagonal longer than one `u64` (`k·lane_bits(d) > 64`) costs the sweep
-/// about four times as much, so the tie comes sooner. Per group, best of 9
-/// on a 2-core x86-64 VM, sweep over automaton time: one-word diagonals tie
-/// at 8 sources for d=2, k=64 (12.2 vs 12.2 µs), and the sweep still wins
-/// at 7 for d ∈ {2, 3, 16, 17} (0.41–0.78×); multi-word diagonals win at 3
-/// (0.28–0.91× for d ∈ {2, 3, 17}, k from 9 to 512) and lose at 4 for d=2,
-/// k from 65 to 512 (1.11–1.18×). On perfbench batch_skewed (k=64, 10 s,
-/// seeds 31/32) floors of 8, 12, 16 and 24 read 709k/764k, 753k/741k,
-/// 739k/748k and 733k/686k pairs/s against 649k/681k with no sweep tier.
-/// `batched_query`'s skewed groups (19 sources and up) stay on the
-/// automaton.
+///
+/// Both tiers cost about `k` per source, and the automaton's build about
+/// `k·d` per group, so the tie sits near a fixed number of sources for
+/// each radix, growing with `d`, whatever `k` is. A diagonal longer than
+/// one `u64` (`k·lane_bits(d) > 64`) costs the sweep several times as
+/// much per source, so the tie comes far sooner there; radix 2's
+/// branch-free one-word sweep is the cheapest per source, so its tie is
+/// latest for its `d`. Per group, best of 9 over 32 random destinations
+/// on a 2-core x86-64 VM, sweep time over automaton time (two runs;
+/// docs/PERFORMANCE.md has the table), the tie lies at:
+///
+/// | diagonal | d | k | tie (sources) | floor |
+/// |---|---|---|---|---|
+/// | one word | 2 | 8, 16 | 20 (0.96–1.00×) | 24 |
+/// | one word | 2 | 32, 64 | 24–32 (0.90–1.34×) | 24 |
+/// | one word | 3 | 8, 16 | 12–16 | 12 |
+/// | one word | 16 | 16 | 48–64 | 64 |
+/// | one word | 17 | 8 | 32–48 | 68 |
+/// | one word | 255 | 8 | past 128 (0.53–0.57× there) | 1020 |
+/// | longer | 2 | 65, 512 | 3–4 | 4 |
+/// | longer | 3 | 17, 100 | 4–5 | 5 |
+/// | longer | 16 | 17, 256 | 12–20 | 11 |
+/// | longer | 17 | 9, 130 | 12–16 | 12 |
+/// | longer | 255 | 9, 130 | 96–128 | 131 |
 fn sweep_group_floor(d: u8, k: usize) -> usize {
-    if k * bitmatch::lane_bits(d) <= 64 {
-        8
-    } else {
-        4
+    let one_word = k * bitmatch::lane_bits(d) <= 64;
+    let d = usize::from(d);
+    match (one_word, d) {
+        (true, 2) => 24,
+        (true, _) => 4 * d,
+        (false, _) => (d + 7) / 2,
     }
 }
 
@@ -165,13 +182,23 @@ pub fn distance_column_into(
 }
 
 /// SplitMix64-style digest of a destination's digits (length folded in),
-/// used as the grouping sort key. Groups are verified by digit comparison,
-/// so a collision costs time, never correctness.
+/// used as the grouping sort key: eight digits per multiply, read as one
+/// little-endian `u64`, then the last `k % 8` one at a time. Groups are
+/// verified by digit comparison, so a collision costs time, never
+/// correctness.
 fn destination_key(y: &Word) -> u64 {
+    let mix = |h: u64, v: u64| {
+        let h = (h ^ v).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h ^ (h >> 27)
+    };
     let mut h = 0x9E37_79B9_7F4A_7C15u64 ^ (y.len() as u64);
-    for &b in y.digits() {
-        h = (h ^ u64::from(b)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h ^= h >> 27;
+    let mut chunks = y.digits().chunks_exact(8);
+    for chunk in chunks.by_ref() {
+        let v = u64::from_le_bytes(chunk.try_into().expect("chunks of 8"));
+        h = mix(h, v);
+    }
+    for &b in chunks.remainder() {
+        h = mix(h, u64::from(b));
     }
     h ^= h >> 31;
     h.wrapping_mul(0x94D0_49BB_1331_11EB)

@@ -8,8 +8,9 @@
 //! scalar route (same `Display` rendering, same tie-breaks) at every
 //! position — regardless of how the batch was ordered or how the kernel
 //! tiered the work (shared context, BFS column, or scalar fall-through).
-//! Undirected groups of every size from 1 to 33 cover both sides of the
-//! kernel's sweep floor on one-word and multi-word diagonals. A final
+//! Undirected groups of every size from 1 to 33, 67 to 69 and 130 to 132
+//! cover both sides of the kernel's sweep floor on one-word and
+//! multi-word diagonals. A final
 //! case drives the service's cached batch path and checks both bodies
 //! and cache counters against per-query evaluation.
 
@@ -125,23 +126,34 @@ fn batched_routes_are_byte_identical_to_scalar_routes() {
     }
 }
 
-/// One group per size from 1 to 33, shuffled together: undirected
-/// groups below the batched distance kernel's sweep floor (8 sources on
-/// one-word diagonals, 4 on longer ones) take the packed sweep, larger
-/// ones the suffix-automaton scan, so this covers sizes 1, floor − 1,
-/// floor and floor + 1 for any floor up to 32. The shapes give one-word
-/// (k·lane ≤ 64) and multi-word diagonals for every lane width.
+/// One group per size from 1 to 33, 67 to 69 and 130 to 132, shuffled
+/// together. Undirected groups below the batched distance kernel's sweep
+/// floor take the packed sweep, larger ones the suffix-automaton scan.
+/// The floor is 24 sources at radix 2 and `4·d` beyond while a diagonal
+/// fits one `u64`, and `(d + 7) / 2` once it spans more: 24, 4, 12, 5, 68,
+/// 12 and 131 at the shapes below, so sizes 1, floor − 1, floor and
+/// floor + 1 are covered at each. The shapes give one-word (k·lane ≤ 64)
+/// and multi-word diagonals for every lane width.
 #[test]
 fn undirected_groups_around_the_sweep_floor_match_scalar_engines() {
     let mut scratch = BatchScratch::new();
     let (mut dists, mut routes) = (Vec::new(), Vec::new());
-    for (d, k) in [(2u8, 64usize), (2, 130), (3, 16), (3, 17), (17, 8), (17, 9)] {
+    let shapes = [
+        (2u8, 64usize),
+        (2, 130),
+        (3, 16),
+        (3, 17),
+        (17, 8),
+        (17, 9),
+        (255, 130),
+    ];
+    for (d, k) in shapes {
         let mut rng = SplitMix64::new(0xF100 ^ (u64::from(d) << 8) ^ k as u64);
         let word = |rng: &mut SplitMix64| {
             Word::new(d, (0..k).map(|_| rng.below_usize(d.into()) as u8).collect()).unwrap()
         };
         let mut pairs = Vec::new();
-        for size in 1..=33 {
+        for size in (1..=33).chain(67..=69).chain(130..=132) {
             let y = word(&mut rng);
             for s in 0..size {
                 // One source of each larger group is the destination.
