@@ -304,6 +304,27 @@ for x in 00000000 01100110 10101010 11110000 00001111 11011011; do
         printf '%s %s\n' "$x" "$y" >> "$batch_file"
     done
 done
+# Radix 2's largest sweep floor is 24 sources, on one-word diagonals, so
+# one k=8 destination with 25 sources puts a group on the suffix-automaton
+# tier. k=64 and k=65 lines cross the one-u64 boundary, each with a group
+# above its floor (24 and 4), a group of 3 below it, and singletons.
+s56=$(printf '0011101%.0s' 1 2 3 4 5 6 7 8)
+t56=$(printf '10010110%.0s' 1 2 3 4 5 6 7)
+for a in 000 011 101 110 111; do
+    for b in 00110 10011 11100 00001 01010; do
+        printf '%s %s\n' "$a$b" 01101001 >> "$batch_file"
+        printf '%s %s\n' "$a$b$s56" "01101001$t56" >> "$batch_file"
+    done
+done
+for p in 000000000 011011011 101101101 110110110 111000111; do
+    printf '%s %s\n' "$p$s56" "100111010$t56" >> "$batch_file"
+done
+for p in 00000000 10110001 11111111; do
+    printf '%s %s\n' "$p$s56" "$p$t56" >> "$batch_file"
+    printf '%s %s\n' "$p$t56" "11100110$s56" >> "$batch_file"
+    printf '%s %s\n' "1$p$s56" "0$p$t56" >> "$batch_file"
+    printf '%s %s\n' "0$p$t56" "010101010$s56" >> "$batch_file"
+done
 ./target/release/dbr distance 2 --batch "$batch_file" > "$smoke_dir/batch_dist.txt"
 : > "$smoke_dir/scalar_dist.txt"
 while read -r x y; do
