@@ -12,6 +12,11 @@
 //! `Engine::Auto` crossover (`AUTO_BITPARALLEL_MAX_LANE_BITS`) where the
 //! `O(k)` suffix tree overtakes the bit-parallel sweep.
 //!
+//! The `bitparallel_one_word_d*` rows time the sweep's one-`u64` path
+//! at every lane width (d=2 at k=64, d=3 and 16 at k=16, d=17 and 255 at
+//! k=8) over 256 distinct pairs: on 8 pairs replayed, a branch predictor
+//! learns the outcomes of each diagonal's tests.
+//!
 //! On random words the sweep reads `O(k)` words per pair. Words whose
 //! middle runs are long but never improve a minimum keep it at its
 //! `O(k²·lane/64)` worst case; the `bitparallel_long_middle_runs` rows
@@ -108,6 +113,21 @@ fn main() {
             if !json {
                 println!("{k:>6} {st:>13.0} {bp:>13.0}");
             }
+        }
+    }
+    // Words that fit one `u64` at every lane width (k·lane_bits ≤ 64),
+    // where the sweep takes its one-word path. 256 distinct pairs, since
+    // a branch predictor can learn the outcomes of 8 replayed ones.
+    if !json {
+        println!("\none-word words, 256 pairs: ns per pair\n");
+        println!("{:>4} {:>6} {:>13}", "d", "k", "bitparallel");
+    }
+    for (d, k) in [(2u8, 64usize), (3, 16), (16, 16), (17, 8), (255, 8)] {
+        let pairs = random_pairs(d, k, 256, 0xD15);
+        let bp = time_engine(Engine::BitParallel, &pairs);
+        report.push(&format!("bitparallel_one_word_d{d}"), k, bp);
+        if !json {
+            println!("{d:>4} {k:>6} {bp:>13.0}");
         }
     }
     if json {
