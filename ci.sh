@@ -28,7 +28,8 @@ echo "== trace round-trip smoke =="
 # counter block (see docs/OBSERVABILITY.md).
 smoke_dir=$(mktemp -d)
 listen_pid=""
-trap 'if [ -n "${listen_pid:-}" ]; then kill "$listen_pid" 2>/dev/null || true; fi; rm -rf "$smoke_dir"' EXIT
+idle_pid=""
+trap 'for pid in $listen_pid $idle_pid; do kill "$pid" 2>/dev/null || true; done; rm -rf "$smoke_dir"' EXIT
 ./target/release/dbr simulate 2 8 --messages 5000 --metrics \
     --trace "$smoke_dir/run.jsonl" > "$smoke_dir/live.txt"
 ./target/release/dbr trace summary "$smoke_dir/run.jsonl" > "$smoke_dir/offline.txt"
@@ -92,7 +93,17 @@ if grep -q '^dbr_core_' "$smoke_dir/scrape.txt"; then
     echo "scrape smoke: /metrics carries process-wide dbr_core_ counters"
     exit 1
 fi
-curl -fsS "http://$addr/healthz" | grep -q ok
+# A client that connects and sends nothing holds one connection thread
+# of its own: /healthz still answers at once.
+sleep 8 | curl -s "telnet://$addr" > /dev/null 2>&1 &
+idle_pid=$!
+sleep 0.5
+if ! curl -fsS --max-time 2 "http://$addr/healthz" | grep -q ok; then
+    echo "scrape smoke: /healthz stalled behind an idle connection"
+    exit 1
+fi
+kill "$idle_pid" 2>/dev/null || true
+idle_pid=""
 kill "$listen_pid" 2>/dev/null || true
 wait "$listen_pid" 2>/dev/null || true
 listen_pid=""

@@ -139,9 +139,10 @@ impl ColumnScratch {
 
 /// Fills `scratch` with the distances from **every** vertex of the space
 /// to `dst` (a vertex rank) — one reverse BFS over the rank space, the
-/// same column construction `NextHopTable` performs per destination, minus
-/// the port bookkeeping. `O(n·d)` for the directed graph, `O(2·n·d)`
-/// undirected.
+/// column `NextHopTable` reads each destination's ports from. The
+/// undirected graph's reverse moves are its own `2d` shifts; in the
+/// directed graph the predecessors of `j` under `X → X⁻(a)` are its
+/// right shifts `X⁺(b)`. `O(n·d)` directed, `O(2·n·d)` undirected.
 pub fn distance_column_into(
     ranks: RankSpace,
     directed: bool,

@@ -19,6 +19,7 @@
 //! function of `(d, k, direction)` — independent of build order, thread
 //! count, or which distance engine verified it.
 
+use crate::batch::{distance_column_into, ColumnScratch};
 use crate::space::{DeBruijn, RankSpace};
 use crate::ShiftKind;
 
@@ -98,16 +99,11 @@ impl NextHopTable {
 
         // One reverse BFS per destination yields the distance of every
         // node to that destination; the column's ports follow locally.
-        let columns = debruijn_parallel::map_range_with(
-            threads,
-            n,
-            || ColumnScratch {
-                dist: vec![u32::MAX; n],
-                frontier: Vec::new(),
-                next: Vec::new(),
-            },
-            |scratch, dst| build_column(ranks, directed, dst as u64, scratch),
-        );
+        let columns =
+            debruijn_parallel::map_range_with(threads, n, ColumnScratch::new, |scratch, dst| {
+                distance_column_into(ranks, directed, dst as u64, scratch);
+                column_ports(ranks, directed, dst as u64, scratch.distances())
+            });
 
         let mut ports = Vec::with_capacity(bytes);
         for column in columns {
@@ -201,61 +197,17 @@ impl NextHopTable {
     }
 }
 
-struct ColumnScratch {
-    dist: Vec<u32>,
-    frontier: Vec<u64>,
-    next: Vec<u64>,
-}
-
-/// Distances to `dst` by reverse BFS, then the smallest improving port
-/// per source. For the undirected graph the edge relation is symmetric,
-/// so the "reverse" moves are the same `2d` shifts; for the directed
-/// graph the predecessors of `j` under `X → X⁻(a)` are exactly its
-/// right shifts `X⁺(b)`.
-fn build_column(
-    ranks: RankSpace,
-    directed: bool,
-    dst: u64,
-    scratch: &mut ColumnScratch,
-) -> Vec<u8> {
+/// The smallest improving port per source toward `dst`, read from
+/// `dist`, the distances of every vertex to `dst`.
+fn column_ports(ranks: RankSpace, directed: bool, dst: u64, dist: &[u32]) -> Vec<u8> {
     let d = ranks.space().d();
-    let n = usize::try_from(ranks.order()).expect("order checked by build");
-    scratch.dist.fill(u32::MAX);
-    scratch.frontier.clear();
-    scratch.next.clear();
-
-    scratch.dist[dst as usize] = 0;
-    scratch.frontier.push(dst);
-    let mut level: u32 = 0;
-    while !scratch.frontier.is_empty() {
-        level += 1;
-        for &node in &scratch.frontier {
-            for a in 0..d {
-                let pred = ranks.shift_right(node, a);
-                if scratch.dist[pred as usize] == u32::MAX {
-                    scratch.dist[pred as usize] = level;
-                    scratch.next.push(pred);
-                }
-                if !directed {
-                    let pred = ranks.shift_left(node, a);
-                    if scratch.dist[pred as usize] == u32::MAX {
-                        scratch.dist[pred as usize] = level;
-                        scratch.next.push(pred);
-                    }
-                }
-            }
-        }
-        scratch.frontier.clear();
-        std::mem::swap(&mut scratch.frontier, &mut scratch.next);
-    }
-
     let ports_per_node = if directed { d } else { 2 * d };
-    (0..n as u64)
+    (0..ranks.order())
         .map(|src| {
             if src == dst {
                 return PORT_SELF;
             }
-            let here = scratch.dist[src as usize];
+            let here = dist[src as usize];
             debug_assert_ne!(here, u32::MAX, "DG(d,k) is strongly connected");
             (0..ports_per_node)
                 .find(|&p| {
@@ -264,7 +216,7 @@ fn build_column(
                     } else {
                         ranks.shift_right(src, p - d)
                     };
-                    scratch.dist[next as usize] == here - 1
+                    dist[next as usize] == here - 1
                 })
                 .expect("some port must reduce a positive distance")
         })

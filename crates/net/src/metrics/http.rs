@@ -1,30 +1,42 @@
-//! Minimal std-only HTTP scrape endpoint.
+//! std-only HTTP/1.1: the request reader, the response writer, and the
+//! one connection plane both of the crate's servers run on.
 //!
-//! A [`ScrapeServer`] owns a `std::net::TcpListener` and one accept
-//! thread; each connection gets a single GET request parsed, routed,
-//! and answered with `Connection: close`. That is the entire protocol
-//! surface Prometheus scraping needs, which is why the workspace's
-//! no-external-dependencies rule costs nothing here — see
-//! `docs/adr/0004-metrics-registry-and-flight-recorder.md` for the
-//! trade-off against hyper/tokio.
-//!
-//! Routes: `/metrics` (the registry, Prometheus text format) and
-//! `/healthz`; any other path gets `404`, and any method but `GET`
-//! `405`. `dbr serve`'s query endpoints run on
-//! [`QueryService`](crate::QueryService)'s own keep-alive server, which
-//! shares [`read_request`] and the response writer with this one.
+//! The plane gives each live connection its own thread (at most 1,024;
+//! past the cap a new socket gets an immediate `503`), so a client that
+//! connects and sends nothing holds up no one else. [`ScrapeServer`]
+//! runs on it with `/metrics` and `/healthz`, closing the connection
+//! after every response; [`QueryService`](crate::QueryService) with
+//! `dbr serve`'s keep-alive query endpoints. That is the whole protocol
+//! surface the two need, which is why the workspace's no-dependencies
+//! rule costs nothing here (see
+//! `docs/adr/0004-metrics-registry-and-flight-recorder.md`).
 
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use super::registry::MetricsRegistry;
 
 /// The Prometheus text exposition content type served on `/metrics`.
 pub const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
+
+/// The `Retry-After` seconds every `503` advertises.
+pub const RETRY_AFTER_SECS: u64 = 1;
+
+/// Hard cap on one server's concurrent connections, so a connection
+/// flood cannot exhaust threads (the query service's real admission
+/// control is its per-shard bound).
+const MAX_CONNECTIONS: usize = 1024;
+
+/// How long an idle connection may sit between requests.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How long stopping a server waits for live connections to finish.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
 /// One HTTP response produced by a route.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,7 +44,7 @@ pub struct HttpResponse {
     /// Status code (200, 400, 404, ...).
     pub status: u16,
     /// `Content-Type` header value.
-    pub content_type: String,
+    pub content_type: &'static str,
     /// Response body.
     pub body: String,
     /// Optional `Retry-After` header value in seconds (load shedding).
@@ -42,19 +54,14 @@ pub struct HttpResponse {
 impl HttpResponse {
     /// A `200 OK` plain-text response.
     pub fn ok(body: impl Into<String>) -> Self {
-        Self {
-            status: 200,
-            content_type: "text/plain; charset=utf-8".to_string(),
-            body: body.into(),
-            retry_after: None,
-        }
+        Self::text(200, body)
     }
 
     /// An arbitrary-status plain-text response.
     pub fn text(status: u16, body: impl Into<String>) -> Self {
         Self {
             status,
-            content_type: "text/plain; charset=utf-8".to_string(),
+            content_type: "text/plain; charset=utf-8",
             body: body.into(),
             retry_after: None,
         }
@@ -79,16 +86,17 @@ impl HttpResponse {
         }
         Self {
             status,
-            content_type: "application/json; charset=utf-8".to_string(),
+            content_type: "application/json; charset=utf-8",
             body: format!("{{\"error\":\"{kind}\",\"detail\":\"{escaped}\"}}\n"),
             retry_after: None,
         }
     }
 
-    /// A `503 Service Unavailable` shed response with `Retry-After`.
-    pub fn overloaded(retry_after_secs: u64) -> Self {
+    /// A `503 Service Unavailable` shed response with `Retry-After`
+    /// [`RETRY_AFTER_SECS`].
+    pub fn overloaded() -> Self {
         let mut response = Self::json_error(503, "overloaded", "queue full, retry later");
-        response.retry_after = Some(retry_after_secs);
+        response.retry_after = Some(RETRY_AFTER_SECS);
         response
     }
 }
@@ -248,7 +256,7 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<HttpRequest
 
 /// Writes `response` to `stream` with an explicit `Connection` header
 /// (`keep-alive` keeps the stream reusable for the next request).
-pub(crate) fn write_response(
+fn write_response(
     stream: &mut TcpStream,
     response: &HttpResponse,
     keep_alive: bool,
@@ -289,11 +297,277 @@ fn status_reason(status: u16) -> &'static str {
     }
 }
 
+/// The answers every server gives on `/metrics` (the registry as
+/// Prometheus text) and `/healthz`; `None` for any other path.
+pub(crate) fn scrape_answer(path: &str, registry: &MetricsRegistry) -> Option<HttpResponse> {
+    match path {
+        "/metrics" => Some(HttpResponse {
+            content_type: PROMETHEUS_CONTENT_TYPE,
+            ..HttpResponse::ok(registry.snapshot().render())
+        }),
+        "/healthz" => Some(HttpResponse::ok("ok\n")),
+        _ => None,
+    }
+}
+
+/// What one server answers on the plane ([`HttpServer`]).
+pub(crate) trait Routes: Send + Sync + 'static {
+    /// Whether a connection may carry more than one request.
+    const KEEP_ALIVE: bool;
+
+    /// Answers and counts one request; `path` is the target up to `?`.
+    fn respond(&self, method: &str, path: &str, query: &str) -> HttpResponse;
+
+    /// Counts an oversized request head, which the plane then refuses.
+    fn refused(&self, refusal: HeadTooLarge);
+
+    /// Whether answering `path` stops the server after the response.
+    fn stops(&self, _path: &str) -> bool {
+        false
+    }
+}
+
+/// The live connections, each with a handle on its socket: their count
+/// bounds new connections and tells a stopping server when all have
+/// ended, and the handles let it end the reads of idle connections
+/// instead of waiting out their timeout.
+#[derive(Debug, Default)]
+struct LiveStreams {
+    next: AtomicUsize,
+    streams: Mutex<HashMap<usize, TcpStream>>,
+}
+
+impl LiveStreams {
+    /// Records a handle on `stream`; `None` if it cannot be cloned.
+    fn register(&self, stream: &TcpStream) -> Option<usize> {
+        let handle = stream.try_clone().ok()?;
+        let id = self.next.fetch_add(1, Ordering::Relaxed);
+        self.lock().insert(id, handle);
+        Some(id)
+    }
+
+    fn release(&self, id: usize) {
+        self.lock().remove(&id);
+    }
+
+    fn count(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Shuts down the read half of every live connection: a connection
+    /// waiting for its next request reads end-of-stream and closes, and
+    /// one mid-exchange still writes its answer.
+    fn close_reads(&self) {
+        for stream in self.lock().values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<usize, TcpStream>> {
+        // Every update is one insert or remove, so the map stays valid
+        // even if a holder panicked.
+        self.streams.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// What a server's accept thread and connection threads share.
+#[derive(Debug)]
+struct Plane<R: Routes> {
+    routes: R,
+    addr: SocketAddr,
+    stopping: AtomicBool,
+    live: LiveStreams,
+}
+
+impl<R: Routes> Plane<R> {
+    /// Ends the accept loop: sets the flag, then wakes it with a throwaway connection.
+    fn stop_accepting(&self) {
+        self.stopping.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+    }
+
+    /// Accepts until stopped, one thread per connection (`name-conn`).
+    fn accept(self: Arc<Self>, listener: TcpListener, name: &str) {
+        let conn_name = format!("{name}-conn");
+        for conn in listener.incoming() {
+            if self.stopping.load(Ordering::SeqCst) {
+                break;
+            }
+            let Ok(mut stream) = conn else { continue };
+            if self.live.count() >= MAX_CONNECTIONS {
+                let _ = write_response(&mut stream, &HttpResponse::overloaded(), false);
+                continue;
+            }
+            // Registered here, before the accept loop can end, so
+            // stopping (which drains after it ends) sees every one. A
+            // socket that cannot be cloned is dropped, as one whose
+            // thread cannot be spawned is.
+            let Some(id) = self.live.register(&stream) else {
+                continue;
+            };
+            let plane = Arc::clone(&self);
+            let spawned = std::thread::Builder::new()
+                .name(conn_name.clone())
+                .spawn(move || {
+                    let _ = plane.serve(stream);
+                    plane.live.release(id);
+                });
+            if spawned.is_err() {
+                self.live.release(id);
+            }
+        }
+    }
+
+    /// One connection's request loop.
+    fn serve(&self, mut stream: TcpStream) -> io::Result<()> {
+        stream.set_read_timeout(Some(IDLE_TIMEOUT))?;
+        // Responses are small and latency-bound: without TCP_NODELAY,
+        // Nagle holding them for the peer's delayed ACK costs ~40ms per
+        // keep-alive exchange even on loopback.
+        stream.set_nodelay(true)?;
+        let mut reader = BufReader::new(stream.try_clone()?);
+        loop {
+            let request = match read_request(&mut reader) {
+                Ok(Some(request)) => request,
+                Ok(None) => return Ok(()),
+                Err(e) => {
+                    // An oversized head is answered, then the connection
+                    // closes: the rest of it is never read.
+                    if let Some(refusal) = HeadTooLarge::of(&e) {
+                        self.routes.refused(refusal);
+                        write_response(&mut stream, &refusal.response(), false)?;
+                    }
+                    return Err(e);
+                }
+            };
+            let (path, query) = request
+                .target
+                .split_once('?')
+                .unwrap_or((request.target.as_str(), ""));
+            let response = self.routes.respond(&request.method, path, query);
+            let keep_alive = R::KEEP_ALIVE && request.keep_alive;
+            write_response(&mut stream, &response, keep_alive)?;
+            if self.routes.stops(path) {
+                // The response is on the wire; the owner drains the rest.
+                self.stop_accepting();
+                return Ok(());
+            }
+            if !keep_alive {
+                return Ok(());
+            }
+        }
+    }
+}
+
+/// One HTTP/1.1 server: an accept thread and a thread per live
+/// connection, answering through the routes `R`. Dropping it stops it.
+#[derive(Debug)]
+pub(crate) struct HttpServer<R: Routes> {
+    plane: Arc<Plane<R>>,
+    accept: Option<JoinHandle<()>>,
+}
+
+impl<R: Routes> HttpServer<R> {
+    /// Binds `addr` and starts the accept thread, `name-accept`.
+    pub(crate) fn bind(addr: impl ToSocketAddrs, routes: R, name: &str) -> io::Result<Self> {
+        let listener = TcpListener::bind(addr)?;
+        let plane = Arc::new(Plane {
+            routes,
+            addr: listener.local_addr()?,
+            stopping: AtomicBool::new(false),
+            live: LiveStreams::default(),
+        });
+        let (accepting, name) = (Arc::clone(&plane), name.to_string());
+        let accept = std::thread::Builder::new()
+            .name(format!("{name}-accept"))
+            .spawn(move || accepting.accept(listener, &name))?;
+        Ok(Self {
+            plane,
+            accept: Some(accept),
+        })
+    }
+
+    /// The bound address (with the real port when bound to port 0).
+    pub(crate) fn local_addr(&self) -> SocketAddr {
+        self.plane.addr
+    }
+
+    pub(crate) fn routes(&self) -> &R {
+        &self.plane.routes
+    }
+
+    /// Waits until the accept loop ends, which a route's
+    /// [`Routes::stops`] brings about.
+    pub(crate) fn wait(&mut self) {
+        if let Some(accept) = self.accept.take() {
+            let _ = accept.join();
+        }
+    }
+
+    /// Stops accepting, closes idle connections at once and gives the
+    /// rest up to [`DRAIN_DEADLINE`] to finish their exchanges. Stopping
+    /// a stopped server does nothing.
+    pub(crate) fn stop(&mut self) {
+        if self.accept.is_some() {
+            self.plane.stop_accepting();
+            self.wait();
+        }
+        self.plane.live.close_reads();
+        let deadline = Instant::now() + DRAIN_DEADLINE;
+        while self.plane.live.count() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+}
+
+impl<R: Routes> Drop for HttpServer<R> {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// The scrape server's routes: `/metrics` and `/healthz`, each answer
+/// closing its connection, counted in `dbr_http_requests_total`.
+#[derive(Debug)]
+struct ScrapeRoutes(Arc<MetricsRegistry>);
+
+impl Routes for ScrapeRoutes {
+    // Scrape traffic is one request per connection.
+    const KEEP_ALIVE: bool = false;
+
+    fn respond(&self, method: &str, path: &str, _query: &str) -> HttpResponse {
+        let response = if method == "GET" {
+            scrape_answer(path, &self.0).unwrap_or_else(|| HttpResponse::text(404, "not found\n"))
+        } else {
+            HttpResponse::text(405, "only GET is supported\n")
+        };
+        // Every other path shares one label, so no client can grow the
+        // registry.
+        let endpoint = match path {
+            "/metrics" | "/healthz" => path,
+            _ => "other",
+        };
+        let status = response.status.to_string();
+        self.0
+            .counter_with(
+                "dbr_http_requests_total",
+                "HTTP requests served, by endpoint and status.",
+                &[("endpoint", endpoint), ("status", &status)],
+            )
+            .inc();
+        response
+    }
+
+    // Only routed requests are counted.
+    fn refused(&self, _refusal: HeadTooLarge) {}
+}
+
 /// A background HTTP/1.1 server exposing a [`MetricsRegistry`].
 ///
-/// Binding spawns one accept thread; [`ScrapeServer::shutdown`] (or
-/// dropping the server) stops it. [`ScrapeServer::block`] parks the
-/// caller on the accept thread for serve-forever CLI modes.
+/// Binding spawns the accept thread; [`ScrapeServer::shutdown`] (or
+/// dropping the server) stops it and closes idle connections at once.
+/// [`ScrapeServer::block`] parks the caller on the accept thread for
+/// serve-forever CLI modes.
 ///
 /// # Examples
 ///
@@ -311,9 +585,7 @@ fn status_reason(status: u16) -> &'static str {
 /// ```
 #[derive(Debug)]
 pub struct ScrapeServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    server: HttpServer<ScrapeRoutes>,
 }
 
 impl ScrapeServer {
@@ -324,56 +596,24 @@ impl ScrapeServer {
     ///
     /// Returns the bind or thread-spawn error.
     pub fn bind(addr: impl ToSocketAddrs, registry: Arc<MetricsRegistry>) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("dbr-scrape".to_string())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if accept_stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(mut stream) = conn else { continue };
-                    // Serve inline: scrape traffic is one request per
-                    // connection and tiny; per-connection errors only
-                    // affect that client.
-                    let _ = serve_connection(&mut stream, &registry);
-                }
-            })?;
-        Ok(Self {
-            addr: local,
-            stop,
-            handle: Some(handle),
-        })
+        let server = HttpServer::bind(addr, ScrapeRoutes(registry), "dbr-scrape")?;
+        Ok(Self { server })
     }
 
     /// The bound address (with the real port when bound to port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
-    /// Stops the accept loop and joins the server thread.
+    /// Stops the server: idle connections close at once, the rest finish.
     pub fn shutdown(mut self) {
-        self.stop_accepting();
+        self.server.stop();
     }
 
     /// Parks the calling thread on the accept loop (serve-forever
     /// CLI modes); returns only if the accept thread exits.
     pub fn block(mut self) {
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-
-    fn stop_accepting(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.stop.store(true, Ordering::SeqCst);
-            // Unblock the accept call with one throwaway connection.
-            let _ = TcpStream::connect(self.addr);
-            let _ = handle.join();
-        }
+        self.server.wait();
     }
 
     /// Convenience test/CLI client: one `GET target` against `addr`,
@@ -400,67 +640,6 @@ impl ScrapeServer {
             return Err(io::Error::other(format!("HTTP status {status}")));
         }
         Ok(body.to_string())
-    }
-}
-
-impl Drop for ScrapeServer {
-    fn drop(&mut self) {
-        self.stop_accepting();
-    }
-}
-
-/// Reads one request, routes it, writes one response.
-///
-/// Scrape traffic is one request per connection, so this server stays
-/// close-per-request; the keep-alive query plane lives in
-/// [`crate::service::QueryService`], which shares [`read_request`] /
-/// [`write_response`].
-fn serve_connection(stream: &mut TcpStream, registry: &Arc<MetricsRegistry>) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let request = match read_request(&mut reader) {
-        Ok(Some(request)) => request,
-        Ok(None) => return Ok(()),
-        Err(e) => {
-            if let Some(refusal) = HeadTooLarge::of(&e) {
-                write_response(stream, &refusal.response(), false)?;
-            }
-            return Err(e);
-        }
-    };
-    let response = route(&request.method, &request.target, registry);
-    let endpoint = match request.target.split('?').next().unwrap_or("") {
-        path @ ("/metrics" | "/healthz") => path,
-        // Every other path shares one label, so no client can grow the
-        // registry.
-        _ => "other",
-    };
-    registry
-        .counter_with(
-            "dbr_http_requests_total",
-            "HTTP requests served, by endpoint and status.",
-            &[
-                ("endpoint", endpoint),
-                ("status", &response.status.to_string()),
-            ],
-        )
-        .inc();
-    write_response(stream, &response, false)
-}
-
-fn route(method: &str, target: &str, registry: &Arc<MetricsRegistry>) -> HttpResponse {
-    if method != "GET" {
-        return HttpResponse::text(405, "only GET is supported\n");
-    }
-    match target.split('?').next().unwrap_or("") {
-        "/metrics" => HttpResponse {
-            status: 200,
-            content_type: PROMETHEUS_CONTENT_TYPE.to_string(),
-            body: registry.snapshot().render(),
-            retry_after: None,
-        },
-        "/healthz" => HttpResponse::ok("ok\n"),
-        _ => HttpResponse::text(404, "not found\n"),
     }
 }
 
@@ -575,6 +754,22 @@ mod tests {
             .add(2);
         let after = ScrapeServer::get(addr, "/metrics").unwrap();
         assert!(after.contains("dbr_demo_total{kind=\"x\"} 7\n"), "{after}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_silent_client_does_not_stall_scrapes() {
+        let (server, _registry) = test_server();
+        let addr = server.local_addr();
+        // Connected first, so it is accepted first, and never sends.
+        let silent = TcpStream::connect(addr).unwrap();
+        let started = Instant::now();
+        assert_eq!(ScrapeServer::get(addr, "/healthz").unwrap(), "ok\n");
+        let metrics = ScrapeServer::get(addr, "/metrics").unwrap();
+        let took = started.elapsed();
+        assert!(metrics.contains("dbr_demo_total"), "{metrics}");
+        assert!(took < Duration::from_secs(1), "answers took {took:?}");
+        drop(silent);
         server.shutdown();
     }
 

@@ -19,7 +19,8 @@
 //!    [rendered](MetricsSnapshot::render) as Prometheus/OpenMetrics
 //!    text.
 //! 3. **Exposure** — [`ScrapeServer`] serves `/metrics` and
-//!    `/healthz` over a minimal std-only HTTP/1.1 listener, and
+//!    `/healthz` on the crate's one std-only HTTP/1.1 connection plane
+//!    (which the query service runs on too), and
 //!    [`FlightRecorder`] captures the pre-anomaly event window for
 //!    post-mortems when an [`AnomalyTriggers`] condition fires.
 //!
@@ -53,10 +54,10 @@ mod registry;
 
 pub use export::{FamilySnapshot, GaugeMerge, LabelSet, MetricKind, MetricValue, MetricsSnapshot};
 pub use flight::{numbered_path, Anomaly, AnomalyTriggers, Burst, FlightRecorder, MAX_CAPTURES};
-pub(crate) use http::write_response;
 pub use http::{
     read_request, HeadTooLarge, HttpRequest, HttpResponse, ScrapeServer, MAX_HEAD_LINE,
-    PROMETHEUS_CONTENT_TYPE,
+    PROMETHEUS_CONTENT_TYPE, RETRY_AFTER_SECS,
 };
+pub(crate) use http::{scrape_answer, HttpServer, Routes};
 pub use recorder::{replay_sharded, RegistryRecorder};
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry};

@@ -5,20 +5,19 @@
 //! `O(1)` per-hop forwarding make a high-QPS distance/route service
 //! feasible; this module supplies the serving substrate, std-only:
 //!
-//! * **Answer where the query is read.** Connection threads
-//!   ([`QueryService`]) do blocking HTTP/1.1 keep-alive protocol work
-//!   and answer each query themselves through the [`Dispatcher`].
-//!   Queries — not connections — shard: each query takes the lock of
-//!   the shard its *destination* hashes to, so cache locality survives
-//!   any connection-to-thread assignment.
+//! * **Answer where the query is read.** [`QueryService`] runs on the
+//!   crate's one HTTP/1.1 connection plane (shared with the metrics
+//!   scrape server): a connection thread reads keep-alive requests and
+//!   answers each query itself through the [`Dispatcher`]. Queries —
+//!   not connections — shard: each takes the lock of the shard its
+//!   *destination* hashes to, so cache locality survives any
+//!   connection-to-thread assignment.
 //! * **Sharded route cache.** One clock-eviction
 //!   [`RouteCache`](debruijn_core::routing::RouteCache) per shard,
-//!   with reusable
-//!   [`RoutingScratch`](debruijn_core::routing::RoutingScratch)
-//!   buffers, behind one lock held for one answer. The deterministic
+//!   locked only for the lookup and the store: the solve runs outside
+//!   the lock, in the thread's own buffers. The deterministic
 //!   [`destination_shard`](debruijn_core::routing::destination_shard)
-//!   map keeps repeat traffic on the shard that already holds its
-//!   route.
+//!   map keeps repeat traffic on the shard that holds its route.
 //! * **Admission control.** Each shard admits at most
 //!   [`ServiceConfig::max_inflight`] unanswered queries; overflow is
 //!   shed immediately with `503` + `Retry-After` and counted in

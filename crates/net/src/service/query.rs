@@ -15,7 +15,6 @@
 //! assert exactly that, which is what makes the service's shard layout
 //! invisible to clients.
 
-use debruijn_core::batch::{route_batch_into, BatchScratch};
 use debruijn_core::distance::undirected::Engine;
 use debruijn_core::routing::{
     self, algorithm1_into, route_with_engine_into, RouteCache, RoutePath, RoutingScratch,
@@ -189,16 +188,12 @@ pub(crate) fn answer_body(kind: QueryKind, route: &RoutePath) -> String {
     }
 }
 
-/// Reusable buffers for [`answer_batch_cached`]: the batched kernel's
-/// scratch, the grouped evaluation inputs, and the per-query precomputed
-/// routes. One per caller.
+/// Reusable buffers for [`answer_batch_cached`]: the routing scratch and
+/// route buffer [`answer_query_cached`] takes. One per caller.
 #[derive(Debug, Default)]
 pub struct BatchAnswerState {
-    scratch: BatchScratch,
-    routes: Vec<RoutePath>,
-    group_pairs: Vec<(Word, Word)>,
-    group_of: Vec<usize>,
-    slots: Vec<Option<RoutePath>>,
+    scratch: RoutingScratch,
+    route: RoutePath,
 }
 
 impl BatchAnswerState {
@@ -208,94 +203,20 @@ impl BatchAnswerState {
     }
 }
 
-/// Answers one drained batch of queries through the destination-major
-/// batched kernel, byte-identically to calling [`answer_query_cached`] on
-/// each query in order — including the cache's hit/miss/eviction
-/// counters.
-///
-/// * Directed queries bypass the cache (as in the scalar path) and are
-///   evaluated destination-grouped in one [`route_batch_into`] call.
-/// * Undirected queries run in two passes: pass 1 [`RouteCache::peek`]s
-///   each one (no stat mutation) and computes the predicted misses
-///   destination-grouped; pass 2 performs the authoritative
-///   [`RouteCache::get_or_compute`] lookups in original arrival order,
-///   handing over the precomputed routes. The cache therefore observes
-///   the exact same lookup sequence — and the same computed bytes, since
-///   the batched kernel replays the scalar engine's sweep — as the
-///   per-query path. (A pass-1 prediction can be stale when an earlier
-///   insert in the same batch evicts a peeked entry; the closure then
-///   recomputes scalar, which yields the same bytes.)
-///
-/// `out[i]` receives the response body for `queries[i]`.
+/// Answers `queries` in order through [`answer_query_cached`] on one
+/// cache, so bodies and cache counters equal per-query calls. `out[i]`
+/// receives the response body for `queries[i]`. Kept for perfbench's
+/// query probe.
 pub fn answer_batch_cached(
     queries: &[&Query],
     cache: &mut RouteCache,
     st: &mut BatchAnswerState,
     out: &mut Vec<String>,
 ) {
+    let BatchAnswerState { scratch, route } = st;
     out.clear();
-    out.resize(queries.len(), String::new());
-
-    // Directed queries: grouped Algorithm 1, no cache involvement.
-    st.group_pairs.clear();
-    st.group_of.clear();
-    for (i, q) in queries.iter().enumerate() {
-        if q.directed {
-            st.group_pairs.push((q.x.clone(), q.y.clone()));
-            st.group_of.push(i);
-        }
-    }
-    if !st.group_pairs.is_empty() {
-        route_batch_into(
-            &st.group_pairs,
-            true,
-            Engine::Auto,
-            &mut st.scratch,
-            &mut st.routes,
-        );
-        for (pos, &i) in st.group_of.iter().enumerate() {
-            out[i] = answer_body(queries[i].kind, &st.routes[pos]);
-        }
-    }
-
-    // Undirected, pass 1: destination-grouped solves for predicted misses.
-    st.group_pairs.clear();
-    st.group_of.clear();
-    for (i, q) in queries.iter().enumerate() {
-        if !q.directed && !cache.peek(&q.x, &q.y) {
-            st.group_pairs.push((q.x.clone(), q.y.clone()));
-            st.group_of.push(i);
-        }
-    }
-    st.slots.clear();
-    st.slots.resize_with(queries.len(), || None);
-    if !st.group_pairs.is_empty() {
-        route_batch_into(
-            &st.group_pairs,
-            false,
-            Engine::Auto,
-            &mut st.scratch,
-            &mut st.routes,
-        );
-        for (pos, &i) in st.group_of.iter().enumerate() {
-            st.slots[i] = Some(std::mem::take(&mut st.routes[pos]));
-        }
-    }
-
-    // Undirected, pass 2: stat-mutating lookups in arrival order.
-    for (i, q) in queries.iter().enumerate() {
-        if q.directed {
-            continue;
-        }
-        let slot = &mut st.slots[i];
-        let route = cache.get_or_compute(&q.x, &q.y, |x, y| {
-            slot.take().unwrap_or_else(|| {
-                let mut fresh = RoutePath::empty();
-                route_with_engine_into(x, y, Engine::Auto, &mut fresh);
-                fresh
-            })
-        });
-        out[i] = answer_body(q.kind, &route);
+    for q in queries {
+        out.push(answer_query_cached(q, cache, scratch, route));
     }
 }
 

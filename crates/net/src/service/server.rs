@@ -1,14 +1,11 @@
-//! The I/O plane: HTTP/1.1 keep-alive connection handling in front of
-//! the [`Dispatcher`].
+//! The query service's routes on the crate's one HTTP/1.1 connection
+//! plane (`metrics::http`), in front of the [`Dispatcher`].
 //!
-//! A [`QueryService`] owns one accept thread and a bounded pool of
-//! connection threads (one per live connection — blocking I/O, no
-//! reactor). A connection thread reads a request, parses the query,
-//! admits it with [`Dispatcher::admit`], answers it under the
-//! destination shard's lock, writes the response, and repeats on the
-//! same socket. Every query toward one destination meets the same
-//! cache shard, so answers are identical no matter which connection
-//! carried the query.
+//! A connection thread reads a request, parses the query, admits it
+//! with [`Dispatcher::admit`], answers it under the destination shard's
+//! lock, writes the response, and repeats on the same socket. Every
+//! query toward one destination meets the same cache shard, so answers
+//! are identical no matter which connection carried the query.
 //!
 //! Endpoints: `/distance` and `/route` (the query grammar of
 //! [`parse_query`]), `/metrics` (Prometheus text), `/healthz`, and
@@ -16,35 +13,19 @@
 //! connections finish, close admission — how `dbr serve` gets an
 //! end-of-run metrics dump and CI gets a deterministic teardown).
 
-use std::collections::HashMap;
-use std::io::{self, BufReader};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::{Arc, OnceLock};
 
 use super::query::{parse_query, QueryKind};
 use super::worker::{Dispatcher, ServiceConfig};
 use crate::metrics::{
-    read_request, write_response, Anomaly, Counter, HeadTooLarge, HttpResponse, MetricsRegistry,
-    PROMETHEUS_CONTENT_TYPE,
+    scrape_answer, Anomaly, Counter, HeadTooLarge, HttpResponse, HttpServer, MetricsRegistry,
+    Routes,
 };
 
-/// Hard cap on concurrent connections; beyond it new sockets get an
-/// immediate `503`. Per-shard admission bounds (not this) are the real
-/// admission control — the cap only stops a connection flood from
-/// exhausting threads.
-const MAX_CONNECTIONS: usize = 1024;
-
-/// How long an idle keep-alive connection may sit between requests.
-const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// How long shutdown waits for in-flight connections to finish before
-/// proceeding (stragglers then shed against the closed dispatcher).
-const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
-
-/// The `endpoint` labels of `dbr_service_requests_total`.
+/// The `endpoint` labels of `dbr_service_requests_total`: path `/<label>`,
+/// or `other` for every unknown path, so the label set stays bounded.
 const ENDPOINTS: [&str; 6] = [
     "distance",
     "route",
@@ -68,41 +49,101 @@ const ERROR_KINDS: [&str; 7] = [
     "internal",
 ];
 
-/// The request and error counters, each resolved from the registry on
-/// its first use and kept, so a request costs one atomic add instead
-/// of a registry lookup.
-struct RequestCounters {
+/// The query service's routes: the query endpoints, answered through
+/// the dispatcher, plus `/metrics`, `/healthz` and `/quitquitquit`. Its
+/// request and error counters are each resolved from the registry on
+/// first use and kept, so a request costs one atomic add instead of a
+/// registry lookup.
+struct QueryRoutes {
+    dispatcher: Arc<Dispatcher>,
     registry: Arc<MetricsRegistry>,
     requests: [[OnceLock<Counter>; STATUSES.len()]; ENDPOINTS.len()],
     errors: [OnceLock<Counter>; ERROR_KINDS.len()],
 }
 
-impl RequestCounters {
-    fn new(registry: Arc<MetricsRegistry>) -> Self {
-        Self {
-            registry,
-            requests: [const { [const { OnceLock::new() }; STATUSES.len()] }; ENDPOINTS.len()],
-            errors: [const { OnceLock::new() }; ERROR_KINDS.len()],
+impl Routes for QueryRoutes {
+    const KEEP_ALIVE: bool = true;
+
+    fn respond(&self, method: &str, path: &str, query: &str) -> HttpResponse {
+        let response = self.answer(method, path, query);
+        self.count_request(path, response.status);
+        response
+    }
+
+    fn refused(&self, refusal: HeadTooLarge) {
+        self.count_error("request-too-large");
+        // A refused head has no path: it counts as `other`.
+        self.count_request("", refusal.status());
+    }
+
+    fn stops(&self, path: &str) -> bool {
+        path == "/quitquitquit"
+    }
+}
+
+impl QueryRoutes {
+    fn answer(&self, method: &str, path: &str, query: &str) -> HttpResponse {
+        if method != "GET" {
+            self.count_error("method");
+            return HttpResponse::json_error(405, "method", "only GET is supported");
+        }
+        let kind = match path {
+            "/distance" => QueryKind::Distance,
+            "/route" => QueryKind::Route,
+            "/quitquitquit" => return HttpResponse::ok("shutting down\n"),
+            _ => {
+                return scrape_answer(path, &self.registry).unwrap_or_else(|| {
+                    self.count_error("unknown-endpoint");
+                    HttpResponse::json_error(
+                        404,
+                        "unknown-endpoint",
+                        &format!("no such endpoint: {path}"),
+                    )
+                })
+            }
+        };
+        let query = match parse_query(self.dispatcher.config().d, kind, query) {
+            Ok(query) => query,
+            Err(e) => {
+                self.count_error(e.kind);
+                return HttpResponse::json_error(400, e.kind, &e.detail);
+            }
+        };
+        let Ok(admission) = self.dispatcher.admit(query) else {
+            return HttpResponse::overloaded();
+        };
+        match admission.answer() {
+            Some(body) => HttpResponse::ok(body),
+            // The solve panicked; its shard was reset and stays usable.
+            None => {
+                self.count_error("internal");
+                HttpResponse::json_error(500, "internal", "the answer failed")
+            }
         }
     }
 
-    fn request(&self, endpoint: &str, status: u16) {
+    /// Counts one response with `status` to a request for `path` in
+    /// `dbr_service_requests_total`.
+    fn count_request(&self, path: &str, status: u16) {
+        let name = path.strip_prefix('/');
+        let e = ENDPOINTS
+            .iter()
+            .position(|&e| name == Some(e))
+            .unwrap_or(ENDPOINTS.len() - 1);
         let resolve = || {
             self.registry.counter_with(
                 "dbr_service_requests_total",
                 "Service requests, by endpoint and status.",
-                &[("endpoint", endpoint), ("status", &status.to_string())],
+                &[("endpoint", ENDPOINTS[e]), ("status", &status.to_string())],
             )
         };
-        let e = ENDPOINTS.iter().position(|&e| e == endpoint);
-        let s = STATUSES.iter().position(|&s| s == status);
-        match (e, s) {
-            (Some(e), Some(s)) => self.requests[e][s].get_or_init(resolve).inc(),
-            _ => resolve().inc(),
+        match STATUSES.iter().position(|&s| s == status) {
+            Some(s) => self.requests[e][s].get_or_init(resolve).inc(),
+            None => resolve().inc(),
         }
     }
 
-    fn error(&self, kind: &str) {
+    fn count_error(&self, kind: &str) {
         let resolve = || {
             self.registry.counter_with(
                 "dbr_service_errors_total",
@@ -115,59 +156,6 @@ impl RequestCounters {
             None => resolve().inc(),
         }
     }
-}
-
-/// The live connections, each with a handle on its socket: their count
-/// bounds new connections and tells teardown when all have ended, and
-/// the handles let teardown end the reads of idle keep-alive
-/// connections instead of waiting out their timeout.
-#[derive(Default)]
-struct LiveStreams {
-    next: AtomicUsize,
-    streams: Mutex<HashMap<usize, TcpStream>>,
-}
-
-impl LiveStreams {
-    /// Records a handle on `stream`; `None` if it cannot be cloned.
-    fn register(&self, stream: &TcpStream) -> Option<usize> {
-        let handle = stream.try_clone().ok()?;
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        self.lock().insert(id, handle);
-        Some(id)
-    }
-
-    fn release(&self, id: usize) {
-        self.lock().remove(&id);
-    }
-
-    fn count(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Shuts down the read half of every live connection: a connection
-    /// waiting for its next request reads end-of-stream and closes, and
-    /// one mid-exchange still writes its answer.
-    fn close_reads(&self) {
-        for stream in self.lock().values() {
-            let _ = stream.shutdown(Shutdown::Read);
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<usize, TcpStream>> {
-        // Every update is one insert or remove, so the map stays valid
-        // even if a holder panicked.
-        self.streams.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Shared state every connection thread needs.
-struct Shared {
-    dispatcher: Arc<Dispatcher>,
-    registry: Arc<MetricsRegistry>,
-    counters: RequestCounters,
-    stop: Arc<AtomicBool>,
-    live: Arc<LiveStreams>,
-    addr: SocketAddr,
 }
 
 /// A thread-per-connection HTTP query service over one TCP listener.
@@ -187,12 +175,7 @@ struct Shared {
 /// # Ok::<(), std::io::Error>(())
 /// ```
 pub struct QueryService {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    dispatcher: Arc<Dispatcher>,
-    live: Arc<LiveStreams>,
-    torn_down: bool,
+    server: HttpServer<QueryRoutes>,
 }
 
 impl QueryService {
@@ -221,70 +204,25 @@ impl QueryService {
         dispatcher: Dispatcher,
         registry: Arc<MetricsRegistry>,
     ) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let dispatcher = Arc::new(dispatcher);
-        let stop = Arc::new(AtomicBool::new(false));
-        let live = Arc::new(LiveStreams::default());
-        let shared = Arc::new(Shared {
-            dispatcher: Arc::clone(&dispatcher),
-            counters: RequestCounters::new(Arc::clone(&registry)),
+        let routes = QueryRoutes {
+            dispatcher: Arc::new(dispatcher),
             registry,
-            stop: Arc::clone(&stop),
-            live: Arc::clone(&live),
-            addr: local,
-        });
-        let accept = std::thread::Builder::new()
-            .name("dbr-serve-accept".to_string())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(mut stream) = conn else { continue };
-                    if shared.live.count() >= MAX_CONNECTIONS {
-                        let retry = shared.dispatcher.config().retry_after_secs;
-                        let _ =
-                            write_response(&mut stream, &HttpResponse::overloaded(retry), false);
-                        continue;
-                    }
-                    // Registered here, before the accept loop can end, so
-                    // teardown (which runs after it ends) sees every one.
-                    // A socket that cannot be cloned is dropped, as one
-                    // whose thread cannot be spawned is.
-                    let Some(id) = shared.live.register(&stream) else {
-                        continue;
-                    };
-                    let conn_shared = Arc::clone(&shared);
-                    let spawned = std::thread::Builder::new()
-                        .name("dbr-serve-conn".to_string())
-                        .spawn(move || {
-                            let _ = serve_connection(&conn_shared, stream);
-                            conn_shared.live.release(id);
-                        });
-                    if spawned.is_err() {
-                        shared.live.release(id);
-                    }
-                }
-            })?;
+            requests: [const { [const { OnceLock::new() }; STATUSES.len()] }; ENDPOINTS.len()],
+            errors: [const { OnceLock::new() }; ERROR_KINDS.len()],
+        };
         Ok(Self {
-            addr: local,
-            stop,
-            accept: Some(accept),
-            dispatcher,
-            live,
-            torn_down: false,
+            server: HttpServer::bind(addr, routes, "dbr-serve")?,
         })
     }
 
     /// The bound address (with the real port when bound to port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
     /// The compute plane, for inspection in tests and CLI reporting.
     pub fn dispatcher(&self) -> &Arc<Dispatcher> {
-        &self.dispatcher
+        &self.server.routes().dispatcher
     }
 
     /// Parks the caller until the service stops (a `/quitquitquit`
@@ -294,9 +232,7 @@ impl QueryService {
     ///
     /// Returns the flight-recorder dump error, if any.
     pub fn block(mut self) -> io::Result<Option<Anomaly>> {
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
+        self.server.wait();
         self.teardown()
     }
 
@@ -306,139 +242,23 @@ impl QueryService {
     ///
     /// Returns the flight-recorder dump error, if any.
     pub fn shutdown(mut self) -> io::Result<Option<Anomaly>> {
-        self.stop_accepting();
         self.teardown()
     }
 
-    fn stop_accepting(&mut self) {
-        if let Some(handle) = self.accept.take() {
-            self.stop.store(true, Ordering::SeqCst);
-            // Unblock the accept call with one throwaway connection.
-            let _ = TcpStream::connect(self.addr);
-            let _ = handle.join();
-        }
-    }
-
+    /// Stops the server, then closes admission (a straggler past the
+    /// drain deadline sheds) and finishes the flight recorder. Tearing
+    /// down twice does nothing more.
     fn teardown(&mut self) -> io::Result<Option<Anomaly>> {
-        self.torn_down = true;
-        // Idle connections close at once; the rest finish their current
-        // exchanges. After the deadline, any straggler sheds against
-        // the closed dispatcher.
-        self.live.close_reads();
-        let deadline = Instant::now() + DRAIN_DEADLINE;
-        while self.live.count() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        self.dispatcher.close();
-        self.dispatcher.finish_flight()
+        self.server.stop();
+        let dispatcher = self.dispatcher();
+        dispatcher.close();
+        dispatcher.finish_flight()
     }
 }
 
 impl Drop for QueryService {
     fn drop(&mut self) {
-        self.stop_accepting();
-        if !self.torn_down {
-            let _ = self.teardown();
-        }
-    }
-}
-
-/// One connection's keep-alive serve loop.
-fn serve_connection(shared: &Shared, mut stream: TcpStream) -> io::Result<()> {
-    stream.set_read_timeout(Some(IDLE_TIMEOUT))?;
-    // Responses are small and latency-bound: without TCP_NODELAY,
-    // Nagle holding them for the peer's delayed ACK costs ~40ms per
-    // keep-alive exchange even on loopback.
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    loop {
-        let request = match read_request(&mut reader) {
-            Ok(Some(request)) => request,
-            Ok(None) => return Ok(()),
-            Err(e) => {
-                // An oversized head is answered, then the connection
-                // closes: the rest of it is never read.
-                if let Some(refusal) = HeadTooLarge::of(&e) {
-                    shared.counters.error("request-too-large");
-                    shared.counters.request("other", refusal.status());
-                    write_response(&mut stream, &refusal.response(), false)?;
-                }
-                return Err(e);
-            }
-        };
-        let (path, query_string) = request
-            .target
-            .split_once('?')
-            .unwrap_or((request.target.as_str(), ""));
-        let response = respond(shared, &request.method, path, query_string);
-        let endpoint = match path {
-            "/distance" => "distance",
-            "/route" => "route",
-            "/metrics" => "metrics",
-            "/healthz" => "healthz",
-            "/quitquitquit" => "quitquitquit",
-            // Unknown paths share one label to keep cardinality bounded.
-            _ => "other",
-        };
-        shared.counters.request(endpoint, response.status);
-        write_response(&mut stream, &response, request.keep_alive)?;
-        if path == "/quitquitquit" {
-            // Stop accepting after the response is on the wire; the
-            // owner's block()/teardown drains the rest.
-            shared.stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(shared.addr);
-            return Ok(());
-        }
-        if !request.keep_alive {
-            return Ok(());
-        }
-    }
-}
-
-fn respond(shared: &Shared, method: &str, path: &str, query_string: &str) -> HttpResponse {
-    if method != "GET" {
-        shared.counters.error("method");
-        return HttpResponse::json_error(405, "method", "only GET is supported");
-    }
-    let kind = match path {
-        "/distance" => QueryKind::Distance,
-        "/route" => QueryKind::Route,
-        "/metrics" => {
-            return HttpResponse {
-                status: 200,
-                content_type: PROMETHEUS_CONTENT_TYPE.to_string(),
-                body: shared.registry.snapshot().render(),
-                retry_after: None,
-            }
-        }
-        "/healthz" => return HttpResponse::ok("ok\n"),
-        "/quitquitquit" => return HttpResponse::ok("shutting down\n"),
-        _ => {
-            shared.counters.error("unknown-endpoint");
-            return HttpResponse::json_error(
-                404,
-                "unknown-endpoint",
-                &format!("no such endpoint: {path}"),
-            );
-        }
-    };
-    let query = match parse_query(shared.dispatcher.config().d, kind, query_string) {
-        Ok(query) => query,
-        Err(e) => {
-            shared.counters.error(e.kind);
-            return HttpResponse::json_error(400, e.kind, &e.detail);
-        }
-    };
-    let Ok(admission) = shared.dispatcher.admit(query) else {
-        return HttpResponse::overloaded(shared.dispatcher.config().retry_after_secs);
-    };
-    match admission.answer() {
-        Some(body) => HttpResponse::ok(body),
-        // The solve panicked; its shard was reset and stays usable.
-        None => {
-            shared.counters.error("internal");
-            HttpResponse::json_error(500, "internal", "the answer failed")
-        }
+        let _ = self.teardown();
     }
 }
 
@@ -447,6 +267,7 @@ mod tests {
     use super::*;
     use crate::metrics::ScrapeServer;
     use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn service(workers: usize) -> (QueryService, Arc<MetricsRegistry>) {
         let registry = Arc::new(MetricsRegistry::new());

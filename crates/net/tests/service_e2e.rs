@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use debruijn_core::Word;
-use debruijn_net::metrics::MetricsRegistry;
+use debruijn_net::metrics::{MetricsRegistry, RETRY_AFTER_SECS};
 use debruijn_net::service::{
     answer_query_direct, parse_query, Dispatcher, Query, QueryKind, QueryService, ServiceConfig,
 };
@@ -218,7 +218,6 @@ fn overloaded_service_sheds_503_with_retry_after() {
     let (service, registry) = bind_service(ServiceConfig {
         workers: 1,
         max_inflight: 4,
-        retry_after_secs: 2,
         ..ServiceConfig::new(2)
     });
     // Closing the dispatcher makes every subsequent admission fail —
@@ -227,7 +226,7 @@ fn overloaded_service_sheds_503_with_retry_after() {
     let mut client = Client::connect(service.local_addr());
     let response = client.get("/route?x=0110&y=1011");
     assert_eq!(response.status, 503);
-    assert_eq!(response.retry_after, Some(2));
+    assert_eq!(response.retry_after, Some(RETRY_AFTER_SECS));
     assert!(response.body.contains("\"error\":\"overloaded\""));
     // Non-query endpoints still answer while shedding.
     assert_eq!(client.get("/healthz").body, "ok\n");
@@ -260,6 +259,27 @@ fn shutdown_closes_idle_keep_alive_connections_at_once() {
     // The server closed its end: the client reads end-of-stream.
     let mut rest = Vec::new();
     assert_eq!(client.reader.read_to_end(&mut rest).unwrap(), 0);
+}
+
+#[test]
+fn a_silent_client_does_not_stall_other_clients() {
+    let (service, _registry) = bind_service(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::new(2)
+    });
+    let addr = service.local_addr();
+    // Connected first, so it is accepted first, and never sends.
+    let silent = TcpStream::connect(addr).unwrap();
+    let started = Instant::now();
+    let mut client = Client::connect(addr);
+    assert_eq!(client.get("/healthz").body, "ok\n");
+    let metrics = client.get("/metrics").body;
+    let took = started.elapsed();
+    assert!(metrics.contains("dbr_service_requests_total"), "{metrics}");
+    assert!(took < Duration::from_secs(1), "answers took {took:?}");
+    drop(client);
+    drop(silent);
+    service.shutdown().unwrap();
 }
 
 #[test]
